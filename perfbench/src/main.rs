@@ -30,9 +30,27 @@ fn usage() -> String {
         .to_string()
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Config>, String> {
-    if args == ["--smoke"] {
-        return Ok(None);
+enum Command {
+    Run(Config),
+    Smoke,
+    /// One set-up of a run, in its own process (`--setup-only <workload>
+    /// <seed> <smoke 0|1>`): how a run times its set-ups after the first.
+    SetUpOnly(Config),
+}
+
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    match args {
+        [smoke] if smoke == "--smoke" => return Ok(Command::Smoke),
+        [flag, workload, seed, smoke] if flag == "--setup-only" => {
+            return Ok(Command::SetUpOnly(Config {
+                kind: Kind::parse(workload).ok_or(usage())?,
+                seed: seed.parse().map_err(|_| usage())?,
+                seconds: 0,
+                traced: false,
+                smoke: smoke == "1",
+            }))
+        }
+        _ => {}
     }
     let mut workload = None;
     let mut seed = None;
@@ -58,7 +76,7 @@ fn parse_args(args: &[String]) -> Result<Option<Config>, String> {
         }
     }
     match (workload, seed, seconds, traced) {
-        (Some(kind), Some(seed), Some(seconds), Some(traced)) => Ok(Some(Config {
+        (Some(kind), Some(seed), Some(seconds), Some(traced)) => Ok(Command::Run(Config {
             kind,
             seed,
             seconds,
@@ -139,8 +157,8 @@ fn smoke() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = match parse_args(&args) {
-        Ok(cfg) => cfg,
+    let cmd = match parse_args(&args) {
+        Ok(cmd) => cmd,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
@@ -155,10 +173,26 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("# host nproc={nproc} pinned_cpu={cpu}");
-    let Some(cfg) = cfg else {
-        return smoke();
+    let cfg = match cmd {
+        Command::Run(cfg) => cfg,
+        Command::Smoke => {
+            println!("# host nproc={nproc} pinned_cpu={cpu}");
+            return smoke();
+        }
+        Command::SetUpOnly(cfg) => {
+            return match run::set_up_only(&cfg) {
+                Ok(line) => {
+                    println!("{line}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("set-up failed: {e}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
     };
+    println!("# host nproc={nproc} pinned_cpu={cpu}");
     println!(
         "# run workload={} seed={} seconds={} trace={}",
         cfg.kind.name(),
@@ -189,14 +223,21 @@ mod tests {
 
     #[test]
     fn parses_the_run_command_line() {
-        let cfg = parse_args(&args("--workload join --seed 7 --seconds 10 --trace 1"))
-            .unwrap()
-            .unwrap();
+        let Ok(Command::Run(cfg)) =
+            parse_args(&args("--workload join --seed 7 --seconds 10 --trace 1"))
+        else {
+            panic!("a run command line")
+        };
         assert_eq!(
             (cfg.kind, cfg.seed, cfg.seconds, cfg.traced),
             (Kind::Join, 7, 10, true)
         );
-        assert!(parse_args(&args("--smoke")).unwrap().is_none());
+        assert!(matches!(parse_args(&args("--smoke")), Ok(Command::Smoke)));
+        let Ok(Command::SetUpOnly(cfg)) = parse_args(&args("--setup-only ingest 3 1")) else {
+            panic!("a set-up command line")
+        };
+        assert_eq!((cfg.kind, cfg.seed, cfg.smoke), (Kind::Ingest, 3, true));
+        assert!(parse_args(&args("--setup-only ingest x 0")).is_err());
         assert!(parse_args(&args("--workload scan --seed 1 --seconds 1 --trace 0")).is_err());
         assert!(parse_args(&args("--workload join --seed 1 --seconds 1")).is_err());
         assert!(parse_args(&args("--workload join --seed x --seconds 1 --trace 0")).is_err());

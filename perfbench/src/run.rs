@@ -17,6 +17,8 @@ use std::time::Instant;
 /// number of versions, so a timed loop would measure a deeper state
 /// whenever appends got faster.
 const INGEST_APPENDS_PER_S: u64 = 200;
+/// Seconds between host reference probes in the timed phase.
+const PROBE_EVERY_S: f64 = 0.05;
 /// Operators whose per-operation time and output rows the traced run
 /// reports (`op.<name>.*`).
 const OPERATORS: [&str; 10] = [
@@ -119,12 +121,38 @@ struct Timed {
     ops: u64,
     failed: u64,
     wall_s: f64,
+    /// Seconds outside the system: making inputs, checking results, and
+    /// probing the host.
     client_s: f64,
-    /// Latency of every untraced operation, µs.
-    plain_us: Vec<f64>,
+    /// Latency of every untraced operation, µs, by query of the rotation.
+    plain_us: Vec<Vec<f64>>,
+    /// Host reference probes, µs, one every [`PROBE_EVERY_S`].
+    probes: Vec<f64>,
     /// Untraced reads after appends (`ingest`), µs.
     fresh_plain_us: Vec<f64>,
     view_refresh_us: Vec<f64>,
+}
+
+impl Timed {
+    /// The host's speed over the timed phase. A mean, not a median: the
+    /// host's slow spells lengthen the operations they overlap, and
+    /// `ops_per_s` counts every one.
+    fn mean_probe_us(&self) -> f64 {
+        self.probes.iter().sum::<f64>() / self.probes.len() as f64
+    }
+
+    fn all_plain_us(&self) -> Vec<f64> {
+        self.plain_us.concat()
+    }
+
+    /// Geometric mean over the rotation's queries of each one's median
+    /// latency, µs. The queries of one workload differ in cost, so the
+    /// median of all samples falls in a gap between them, where a small
+    /// change in one query's spread moves it far.
+    fn query_p50_us(&self) -> f64 {
+        let logs: Vec<f64> = self.plain_us.iter().map(|q| median(q).ln()).collect();
+        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
+    }
 }
 
 /// Median of `samples`, or 0 on a workload that never reached the layer.
@@ -148,10 +176,15 @@ fn ratio(num: f64, den: f64) -> f64 {
 /// them and warm up (timed, minus the client's checking time).
 struct SetUp {
     client: Client,
+    sample: SetUpSample,
+    note: String,
+}
+
+/// The timing and checks of one set-up.
+struct SetUpSample {
     seconds: f64,
     warm_ok: bool,
     digest: u64,
-    note: String,
 }
 
 fn set_up(cfg: &Config) -> Result<SetUp, String> {
@@ -182,11 +215,58 @@ fn set_up(cfg: &Config) -> Result<SetUp, String> {
     }
     Ok(SetUp {
         client,
-        seconds: start.elapsed().as_secs_f64() - client_s,
-        warm_ok,
-        digest,
+        sample: SetUpSample {
+            seconds: start.elapsed().as_secs_f64() - client_s,
+            warm_ok,
+            digest,
+        },
         note,
     })
+}
+
+/// The line a `--setup-only` process prints last.
+fn setup_line(s: &SetUpSample) -> String {
+    format!(
+        "setup seconds={} digest={:016x} warm_ok={}",
+        s.seconds, s.digest, s.warm_ok as u8
+    )
+}
+
+fn parse_setup_line(line: &str) -> Option<SetUpSample> {
+    let mut f = line.strip_prefix("setup ")?.split(' ');
+    let mut field = |name: &str| f.next()?.strip_prefix(name)?.strip_prefix('=');
+    Some(SetUpSample {
+        seconds: field("seconds")?.parse().ok()?,
+        digest: u64::from_str_radix(field("digest")?, 16).ok()?,
+        warm_ok: field("warm_ok")? == "1",
+    })
+}
+
+/// The body of a `--setup-only` process: one set-up, timed like the
+/// measured one, reported as [`setup_line`].
+pub fn set_up_only(cfg: &Config) -> Result<String, String> {
+    Ok(setup_line(&set_up(cfg)?.sample))
+}
+
+/// One more set-up, in a fresh process running this executable with
+/// `--setup-only`, so that every sample starts from a clean process.
+fn set_up_in_child(cfg: &Config) -> Result<SetUpSample, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let out = std::process::Command::new(exe)
+        .args([
+            "--setup-only",
+            cfg.kind.name(),
+            &cfg.seed.to_string(),
+            if cfg.smoke { "1" } else { "0" },
+        ])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("starting a set-up process: {e}"))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    match stdout.lines().last().and_then(parse_setup_line) {
+        Some(s) if out.status.success() => Ok(s),
+        _ => Err(format!("set-up process failed ({})", out.status)),
+    }
 }
 
 fn timed_phase(cfg: &Config, client: &mut Client, tracer: &mut Tracer) -> Timed {
@@ -199,12 +279,23 @@ fn timed_phase(cfg: &Config, client: &mut Client, tracer: &mut Tracer) -> Timed 
         }
     });
     let mut rng = Rng::new(cfg.seed, Stream::Ops);
-    let mut t = Timed::default();
+    let mut t = Timed {
+        plain_us: vec![Vec::new(); kind.rotation()],
+        ..Timed::default()
+    };
+    let mut next_probe = 0.0;
     let ctx = std::sync::Arc::clone(&client.engine.ctx);
     let trace = ctx.cluster().trace();
     let start = Instant::now();
     loop {
-        let elapsed = start.elapsed().as_secs_f64();
+        let mut elapsed = start.elapsed().as_secs_f64();
+        if elapsed >= next_probe {
+            t.probes.push(host::reference_probe());
+            next_probe = elapsed + PROBE_EVERY_S;
+            let after = start.elapsed().as_secs_f64();
+            t.client_s += after - elapsed;
+            elapsed = after;
+        }
         let done = match appends {
             // A run that slows down fourfold stops early rather than run
             // past the caller's time limit.
@@ -232,13 +323,13 @@ fn timed_phase(cfg: &Config, client: &mut Client, tracer: &mut Tracer) -> Timed 
                     .map(|s| s.dur_us as f64),
             );
         }
+        if mode == Mode::Plain {
+            t.plain_us[t.ops as usize % kind.rotation()].push(out.latency_us);
+            t.fresh_plain_us.extend(out.fresh_reads_us);
+        }
         t.ops += 1;
         t.failed += !out.ok as u64;
         t.client_s += out.client_s;
-        if mode == Mode::Plain {
-            t.plain_us.push(out.latency_us);
-            t.fresh_plain_us.extend(out.fresh_reads_us);
-        }
     }
     t.wall_s = start.elapsed().as_secs_f64();
     t
@@ -256,7 +347,6 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         GEOMETRY.skew_ratio,
         GEOMETRY.default_partitions(),
     )];
-    let memsum_start = host::memsum_ms();
     let first = set_up(cfg)?;
     notes.push(first.note);
     let mut client = first.client;
@@ -265,10 +355,17 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     let timed = timed_phase(cfg, &mut client, &mut tracer);
     let after = cfg.traced.then(|| Counters::read(&client.engine));
     let final_ok = client.final_check();
-    let memsum_end = host::memsum_ms();
+    let reference_us = timed.mean_probe_us();
+    // Above 1 when the host ran slower than its usual speed.
+    let host_factor = reference_us / host::REF_NOMINAL_US;
     notes.push(format!(
-        "ops timed={} failed={} wall_s={:.3} client_s={:.3} seconds={} host.memsum_ms start={memsum_start:.3} end={memsum_end:.3}",
+        "ops timed={} failed={} wall_s={:.3} client_s={:.3} seconds={}",
         timed.ops, timed.failed, timed.wall_s, timed.client_s, cfg.seconds
+    ));
+    notes.push(format!(
+        "host reference probes={} reference_us={reference_us:.1} nominal_us={} host_factor={host_factor:.4}",
+        timed.probes.len(),
+        host::REF_NOMINAL_US
     ));
 
     let mut metrics = Vec::new();
@@ -281,8 +378,6 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     };
     if let (Some(before), Some(after)) = (before, after) {
         per_layer(cfg, &client, &tracer, &timed, &before, &after, &mut put)?;
-        put("host.memsum_ms_start", memsum_start, "ms");
-        put("host.memsum_ms_end", memsum_end, "ms");
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("out")
             .join(format!("spans-{}-seed{}.json", kind.name(), cfg.seed));
@@ -295,16 +390,18 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             path.display()
         ));
     } else {
-        let lat = latency(&timed.plain_us)?;
-        put(
-            "ops_per_s",
-            timed.ops as f64 / (timed.wall_s - timed.client_s),
-            "1/s",
-        );
-        put("p50_us", lat.p50, "us");
+        let all = timed.all_plain_us();
+        let lat = latency(&all)?;
+        let ops_per_s = timed.ops as f64 / (timed.wall_s - timed.client_s);
+        let p50_us = timed.query_p50_us();
+        // Gated at the calibration host's speed; the raw values are notes.
+        put("ops_per_s", ops_per_s * host_factor, "1/s");
+        put("p50_us", p50_us / host_factor, "us");
         notes.push(format!(
-            "latency samples={} p90_us={:.1} p99_us={:.1} (tails are reported, not gated)",
-            timed.plain_us.len(),
+            "as measured ops_per_s={ops_per_s:.1} p50_us={p50_us:.2} (per-query medians, \
+             geometric mean); all samples n={} p50_us={:.1} p90_us={:.1} p99_us={:.1}",
+            all.len(),
+            lat.p50,
             lat.p90,
             lat.p99
         ));
@@ -329,20 +426,21 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             ));
         }
     }
-    // More set-ups for `setup_s`, after the measured one has been used and
-    // dropped, so they cannot disturb the run or its peak memory.
-    let mut warm_ok = first.warm_ok;
+    // More set-ups for `setup_s`, each in a fresh process like the measured
+    // one, after the run so they cannot disturb it or its peak memory.
+    let mut warm_ok = first.sample.warm_ok;
     if !cfg.traced {
-        client.engine.teardown()?;
-        let mut samples = vec![first.seconds];
-        for _ in 1..kind.setups() {
-            let s = set_up(cfg)?;
-            if s.digest != first.digest {
+        drop(client);
+        let mut samples = vec![first.sample.seconds];
+        // Smoke mode needs one set-up process to check that path, not a median.
+        let setups = if cfg.smoke { 2 } else { kind.setups() };
+        for _ in 1..setups {
+            let s = set_up_in_child(cfg)?;
+            if s.digest != first.sample.digest {
                 return Err("input_digest differs between set-ups of one seed".into());
             }
             warm_ok &= s.warm_ok;
             samples.push(s.seconds);
-            s.client.engine.teardown()?;
         }
         notes.push(format!(
             "setup_s samples={samples:?} warmup_ops={}, input_digest identical in every set-up",
@@ -412,11 +510,15 @@ fn per_layer(
         "ratio",
     );
     let plain = if kind == Kind::Ingest {
-        &timed.fresh_plain_us
+        timed.fresh_plain_us.clone()
     } else {
-        &timed.plain_us
+        timed.all_plain_us()
     };
-    put("trace.overhead_frac", submit / median(plain) - 1.0, "ratio");
+    put(
+        "trace.overhead_frac",
+        submit / median(&plain) - 1.0,
+        "ratio",
+    );
 
     // dataframe::physical, from the registry.
     for o in OPERATORS {
@@ -573,6 +675,8 @@ fn per_layer(
     };
     put("ingest.fresh_read_p50_us", r50, "us");
     put("ingest.fresh_read_p99_us", r99, "us");
+
+    put("host.reference_us", timed.mean_probe_us(), "us");
     Ok(())
 }
 
@@ -603,4 +707,37 @@ fn rowstore_rates(persons: u64, seed: u64) -> Result<(f64, f64), String> {
         }
     }
     Ok((median(&encode), median(&decode)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn setup_line_round_trips() {
+        let s = SetUpSample {
+            seconds: 0.8127,
+            warm_ok: true,
+            digest: 0x00ab_cdef_0123_4567,
+        };
+        let line = setup_line(&s);
+        let back = parse_setup_line(&line).expect("parses");
+        assert_eq!(
+            (back.seconds, back.warm_ok, back.digest),
+            (s.seconds, s.warm_ok, s.digest)
+        );
+        assert!(parse_setup_line("setup seconds=1 digest=zz warm_ok=1").is_none());
+        assert!(parse_setup_line("# inputs persons=1").is_none());
+    }
+
+    #[test]
+    fn query_p50_is_the_geometric_mean_of_per_query_medians() {
+        let t = Timed {
+            plain_us: vec![vec![3.0, 1.0, 2.0], vec![100.0, 4.0, 16.0]],
+            probes: vec![100.0, 120.0, 110.0, 150.0],
+            ..Timed::default()
+        };
+        assert!((t.query_p50_us() - (2.0f64 * 16.0).sqrt()).abs() < 1e-12);
+        assert_eq!(t.mean_probe_us(), 120.0);
+    }
 }

@@ -86,8 +86,8 @@ impl Kind {
         }
     }
 
-    /// Set-ups per run; `setup_s` is their median. `analytic` sets up in a
-    /// tenth of a second, so it takes more samples.
+    /// Set-ups per run, each in a fresh process; `setup_s` is their median.
+    /// `analytic` sets up in a tenth of a second, so it takes more samples.
     pub fn setups(self) -> usize {
         match self {
             Kind::Analytic => 15,
@@ -265,40 +265,6 @@ impl Engine {
             .map(|f| (f.index_bytes() + f.data_bytes()) as u64)
             .sum()
     }
-
-    /// Release a set-up that will not be measured: drop its context, and
-    /// with it the cluster, its threads and every block, so neither its
-    /// memory nor its threads' allocator arenas stay in the measured
-    /// process.
-    pub fn teardown(self) -> Result<(), String> {
-        let ctx = self.ctx;
-        let err = |e: PlanError| e.to_string();
-        if self.kind == Kind::Ingest {
-            // The view manager cannot untrack a table, and a tracked table
-            // holds its context: track an empty table of a one-thread side
-            // context in its place, so this context is no longer reachable
-            // from itself. The side context stays alive, idle.
-            ctx.drop_view(VIEW);
-            let side = Context::new(Cluster::new(ClusterConfig {
-                workers: 1,
-                ..GEOMETRY
-            }));
-            let empty =
-                IndexedDataFrame::from_rows(&side, gen::edge_schema(), Vec::new(), "edge_source")
-                    .map_err(err)?;
-            ctx.track_indexed_table("edges", &empty).map_err(err)?;
-        }
-        for t in ctx.table_names() {
-            ctx.deregister_table(&t).map_err(err)?;
-        }
-        if Arc::strong_count(&ctx) > 1 {
-            // Still owned elsewhere: at least free the cached blocks.
-            for w in 0..ctx.cluster().num_workers() {
-                ctx.cluster().kill_worker(w);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Run one statement in `mode`, recording spans for operation `op`.
@@ -438,8 +404,8 @@ impl Client {
                 _ => unreachable!("generated edge_source is Int64"),
             })
             .collect();
-        key.absorb(&batch);
-        self.logical_bytes += logical_bytes(&batch);
+        // The engine takes the batch; the key learns it only once committed.
+        let committed = batch.clone();
         let mut client_s = t.elapsed().as_secs_f64();
 
         let span = (mode != Mode::Plain).then(|| tr.begin(i, ROOT, "ingest.append"));
@@ -450,6 +416,12 @@ impl Client {
             tr.end(s);
         }
         let mut ok = appended.is_ok();
+        let t = Instant::now();
+        if ok {
+            key.absorb(&committed);
+            self.logical_bytes += logical_bytes(&committed);
+        }
+        client_s += t.elapsed().as_secs_f64();
         let mut fresh_reads_us = Vec::with_capacity(FRESH_READS);
         for id in reads {
             let t = Instant::now();
