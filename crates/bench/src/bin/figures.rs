@@ -7,7 +7,6 @@
 //! experiments:
 //!   tab1 tab2 table3
 //!   fig1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!   shuffle    — exchange-throughput microbench (regression record)
 //!   vectorized — batch kernels vs row operators (regression record)
 //!   index_build — bulk-load + single-replay build vs row-at-a-time (regression record)
 //!   serve      — closed-loop multi-tenant SQL serving, 1/4/16 clients (regression record)
@@ -19,15 +18,15 @@
 //! ```
 
 use bench::{
-    ablations, figs_adaptive, figs_index, figs_ivm, figs_memory, figs_micro, figs_real, figs_serve,
-    figs_shuffle, figs_vectorized, figs_write, Opts,
+    ablations, figs_index, figs_ivm, figs_memory, figs_micro, figs_real, figs_serve,
+    figs_vectorized, figs_write, Opts,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage: figures <experiment> [--scale N] [--reps N] [--workers N] [--out DIR]\n\
          experiments: tab1 tab2 table3 fig1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11\n\
-         fig12 fig13 fig14 fig15 shuffle vectorized index_build serve memory ivm\n\
+         fig12 fig13 fig14 fig15 vectorized index_build serve memory ivm\n\
          ablate-layout ablate-broadcast ablate-mvcc ablate-partitioning all quick"
     );
     std::process::exit(2);
@@ -90,8 +89,6 @@ fn run(name: &str, opts: &Opts) {
         "fig13" => figs_real::fig13(opts),
         "fig14" => figs_real::fig14(opts),
         "fig15" => figs_real::fig15(opts),
-        "shuffle" => figs_shuffle::shuffle(opts),
-        "adaptive" => figs_adaptive::adaptive(opts),
         "vectorized" => figs_vectorized::vectorized(opts),
         "index_build" => figs_index::index_build(opts),
         "serve" => figs_serve::serve(opts),
@@ -122,8 +119,6 @@ const ALL: &[&str] = &[
     "fig13",
     "fig14",
     "fig15",
-    "shuffle",
-    "adaptive",
     "vectorized",
     "index_build",
     "serve",

@@ -16,14 +16,12 @@
 //! reproduction target, recorded in EXPERIMENTS.md.
 
 pub mod ablations;
-pub mod figs_adaptive;
 pub mod figs_index;
 pub mod figs_ivm;
 pub mod figs_memory;
 pub mod figs_micro;
 pub mod figs_real;
 pub mod figs_serve;
-pub mod figs_shuffle;
 pub mod figs_vectorized;
 pub mod figs_write;
 pub mod perf;

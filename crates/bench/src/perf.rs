@@ -30,6 +30,8 @@ pub struct Perf {
     clusters: Vec<(String, Arc<Context>)>,
     snapshots: Vec<(String, String)>,
     extras: Vec<(String, f64)>,
+    /// Largest worker count among the clusters recorded so far.
+    workers: usize,
 }
 
 impl Perf {
@@ -41,6 +43,7 @@ impl Perf {
             clusters: Vec::new(),
             snapshots: Vec::new(),
             extras: Vec::new(),
+            workers: 0,
         }
     }
 
@@ -48,6 +51,7 @@ impl Perf {
     /// Call once per cluster the figure creates (e.g. "vanilla" and
     /// "indexed"); the snapshot is taken at [`Perf::finish`] time.
     pub fn attach(&mut self, label: &str, ctx: &Arc<Context>) {
+        self.workers = self.workers.max(ctx.cluster().num_workers());
         self.clusters.push((label.to_string(), Arc::clone(ctx)));
     }
 
@@ -56,6 +60,7 @@ impl Perf {
     /// many large clusters sequentially and want each one (and its tables)
     /// freed before the next starts.
     pub fn snapshot(&mut self, label: &str, ctx: &Arc<Context>) {
+        self.workers = self.workers.max(ctx.cluster().num_workers());
         self.snapshots
             .push((label.to_string(), ctx.cluster().metrics_json()));
     }
@@ -67,7 +72,10 @@ impl Perf {
         self.extras.push((name.to_string(), value));
     }
 
-    /// Write `BENCH_<figure>.json` into `opts.out_dir`.
+    /// Write `BENCH_<figure>.json` into `opts.out_dir`. Its `workers` field
+    /// is the worker count of the recorded cluster (the largest one when a
+    /// figure sweeps geometries; 0 when it recorded none), not the raw
+    /// `--workers` option, whose 0 means "figure default".
     pub fn finish(self, opts: &Opts) {
         let wall_ms = self.start.elapsed().as_secs_f64() * 1e3;
         let metrics: Vec<String> = self
@@ -98,7 +106,7 @@ impl Perf {
             wall_ms,
             opts.scale,
             opts.reps,
-            opts.workers,
+            self.workers,
             extras.join(","),
             metrics.join(",")
         );
@@ -133,6 +141,10 @@ mod tests {
         let content = std::fs::read_to_string(dir.join("BENCH_unit.json")).unwrap();
         assert!(content.starts_with("{\"schema\":\"bench-perf-v1\""));
         assert!(content.contains("\"figure\":\"unit\""));
+        assert!(
+            content.contains("\"workers\":2,"),
+            "the attached cluster's worker count, not the 0 default option"
+        );
         assert!(content.contains("\"cluster\":{\"schema\":\"sparklet-metrics-v1\""));
         assert!(content.contains("\"x\":3"));
         assert!(content.contains("\"extras\":{\"speedup\":1.500000}"));

@@ -24,17 +24,13 @@ pub struct ExecConfig {
     /// shuffled (Spark's `autoBroadcastJoinThreshold`; the paper quotes
     /// 10 MB, §IV-C).
     pub broadcast_threshold_bytes: usize,
-    /// Prefer sort-merge join over shuffled-hash join for large joins
-    /// (Spark's default; the paper's production runs use broadcast-hash,
-    /// "faster than the notoriously slow SortMerge Join", §IV-E).
+    /// Run the sort-merge reduce body instead of shuffled-hash in large
+    /// joins (Spark's default; the paper's production runs use
+    /// broadcast-hash, "faster than the notoriously slow SortMerge Join",
+    /// §IV-E). Either way the join re-decides at runtime: it demotes to
+    /// broadcast-hash when its build side turns out tiny and salts hot keys
+    /// past the cluster's `skew_ratio`.
     pub prefer_sort_merge: bool,
-    /// Enable runtime-adaptive execution: shuffled/sort-merge joins
-    /// re-decide their strategy after materializing their inputs (demote
-    /// to broadcast-hash when the build side turns out tiny, salt hot keys
-    /// past the cluster's `skew_ratio`), exchanges split/coalesce skewed
-    /// reduce partitions, and observed cardinalities feed the
-    /// [`Context::runtime_stats`] catalog for later queries.
-    pub adaptive: bool,
 }
 
 impl Default for ExecConfig {
@@ -43,7 +39,6 @@ impl Default for ExecConfig {
             shuffle_partitions: 0, // 0 → derive from cluster geometry
             broadcast_threshold_bytes: 10 << 20,
             prefer_sort_merge: false,
-            adaptive: true,
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Runtime-adaptive join: re-decides its strategy *after* both inputs are
-//! materialized, when actual sizes and key frequencies are known — the
-//! "free statistics" the shuffle's counting stage already produces, turned
-//! into execution decisions instead of a counter nobody reads.
+//! Runtime-adaptive join — the one shuffled join. The planner emits it for
+//! every equi-join no side of which is estimated broadcastable; it
+//! re-decides its strategy *after* both inputs are materialized, when
+//! actual sizes and key frequencies are known.
 //!
 //! Decision ladder (first match wins), taken at `execute` time:
 //!
@@ -15,10 +15,11 @@
 //!    keys take the normal shuffled-hash path. Routing is by key hash on
 //!    both sides, so every key's rows travel the same path and the output
 //!    multiset is exactly the inner join.
-//! 3. **Shuffled-hash with adaptive repartitioning** — no runtime
-//!    opportunity; both sides go through [`sparklet::exchange_rows_adaptive`],
-//!    which still splits oversized reduce buckets and coalesces near-empty
-//!    ones.
+//! 3. **Shuffled join** — no runtime opportunity; both sides go through
+//!    [`sparklet::exchange_rows`], which splits oversized reduce buckets and
+//!    coalesces near-empty ones, and each co-located partition runs the
+//!    shuffled-hash reduce body (or the sort-merge body when the session
+//!    prefers sort-merge).
 //!
 //! Observed input cardinalities are recorded in the session's
 //! [`crate::context::RuntimeStats`] — keyed by catalog name for bare table
@@ -33,7 +34,7 @@ use crate::physical::{
     count_rows, describe_node, observe_operator, ExecError, ExecPlan, Partitions,
 };
 use rowstore::{Row, Schema};
-use sparklet::{ShuffleItem, SpanKind, SpanRecord};
+use sparklet::{row_bytes, SpanKind, SpanRecord};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -47,11 +48,10 @@ pub struct AdaptiveJoinExec {
     /// cardinality-feedback hook.
     pub left_stats: Option<StatsTarget>,
     pub right_stats: Option<StatsTarget>,
-    /// When no runtime opportunity applies (no demotion, no salting), fall
-    /// back to the sort-merge body instead of shuffled-hash — the flavor a
-    /// `prefer_sort_merge` session would have planned statically. Demotion
-    /// and salting still fire first, so sort-merge joins now re-decide at
-    /// runtime too.
+    /// When no runtime opportunity applies (no demotion, no salting), run
+    /// the sort-merge reduce body instead of shuffled-hash — what a
+    /// `prefer_sort_merge` session asks for. Demotion and salting still
+    /// fire first, so sort-merge joins re-decide at runtime too.
     pub sort_merge: bool,
     pub out_schema: Arc<Schema>,
 }
@@ -199,10 +199,8 @@ impl ExecPlan for AdaptiveJoinExec {
                 } else {
                     (cold_probe, cold_build)
                 };
-                let (ls, _) =
-                    sparklet::exchange_rows_adaptive(ctx.cluster(), &left_schema, cold_left, p)?;
-                let (rs, _) =
-                    sparklet::exchange_rows_adaptive(ctx.cluster(), &right_schema, cold_right, p)?;
+                let ls = sparklet::exchange_rows(ctx.cluster(), &left_schema, cold_left, p)?;
+                let rs = sparklet::exchange_rows(ctx.cluster(), &right_schema, cold_right, p)?;
                 let mut out = shuffled_probe_core(
                     ctx,
                     Arc::new(ls),
@@ -232,22 +230,21 @@ impl ExecPlan for AdaptiveJoinExec {
                 return Ok(out);
             }
 
-            // 3. No runtime opportunity: fall back through the adaptive
-            // exchange (split/coalesce still applies) to the statically
-            // preferred reduce body — sort-merge when the session prefers
-            // it, shuffled-hash otherwise.
+            // 3. No runtime opportunity: shuffle both sides (split/coalesce
+            // still applies) and run the session's preferred reduce body —
+            // sort-merge when it prefers it, shuffled-hash otherwise.
             let (left_parts, right_parts) = if build_left {
                 (build_parts, probe_parts)
             } else {
                 (probe_parts, build_parts)
             };
-            let (ls, _) = sparklet::exchange_rows_adaptive(
+            let ls = sparklet::exchange_rows(
                 ctx.cluster(),
                 &left_schema,
                 keyed(left_parts, left_key),
                 p,
             )?;
-            let (rs, _) = sparklet::exchange_rows_adaptive(
+            let rs = sparklet::exchange_rows(
                 ctx.cluster(),
                 &right_schema,
                 keyed(right_parts, right_key),
@@ -341,7 +338,7 @@ fn detect_hot_hashes(
         .iter()
         .flat_map(|part| part.iter())
         .filter(|row| !row[build_key].is_null() && hot.contains(&row[build_key].key_hash()))
-        .map(|row| row.approx_bytes() as u64)
+        .map(|row| row_bytes(row) as u64)
         .sum();
     if hot_build_bytes > broadcast_threshold {
         return None;
@@ -355,7 +352,6 @@ mod tests {
     use crate::column::ColumnarTable;
     use crate::context::ExecConfig;
     use crate::physical::gather;
-    use crate::physical::join::ShuffledHashJoinExec;
     use crate::physical::scan::ColumnarScanExec;
     use rowstore::{DataType, Field, Value};
     use sparklet::{Cluster, ClusterConfig};
@@ -501,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn salted_join_matches_static_shuffled_hash() {
+    fn salted_join_matches_plain_shuffled_join() {
         let (build, probe) = skewed_fixture();
         let adaptive_ctx = ctx_with_threshold(64);
         let j = adaptive_join(
@@ -519,16 +515,18 @@ mod tests {
             1
         );
 
-        let static_ctx = ctx_with_threshold(64);
-        let s = ShuffledHashJoinExec {
-            left: scan(&schema("bv"), build, 2),
-            right: scan(&schema("pv"), probe, 4),
-            left_key: 0,
-            right_key: 0,
-            build_left: true,
-            out_schema: schema("bv").join(&schema("pv")),
-        };
-        let want = gather(s.execute(&static_ctx).unwrap());
+        // A zero threshold rules out salting (the hot build row no longer
+        // fits) and demotion: every row takes the plain shuffled path.
+        let plain_ctx = ctx_with_threshold(0);
+        let s = adaptive_join(
+            scan(&schema("bv"), build, 2),
+            scan(&schema("pv"), probe, 4),
+            (None, None),
+        );
+        let want = gather(s.execute(&plain_ctx).unwrap());
+        let plain = plain_ctx.cluster().registry();
+        assert_eq!(plain.counter("adaptive.salted_joins").get(), 0);
+        assert_eq!(plain.counter("adaptive.join_demotions").get(), 0);
         assert_eq!(sorted(got), sorted(want));
     }
 
@@ -560,9 +558,9 @@ mod tests {
     #[test]
     fn sort_merge_flavor_falls_back_to_sort_merge_body() {
         // Uniform input, nothing broadcastable: the sort-merge flavor must
-        // run the sort-merge reduce body (visible via op.join.sortmerge's
-        // absence — the core runs inside join.adaptive's span — so assert
-        // on the result plus the absence of demotion/salting instead).
+        // run the sort-merge reduce body. The body has no span of its own
+        // (it runs inside join.adaptive's), so assert on the result plus
+        // the absence of demotion/salting.
         let ctx = ctx_with_threshold(1);
         let build: Vec<Row> = (0..200)
             .map(|k| vec![Value::Int64(k), Value::Int64(k * 10)])

@@ -2,10 +2,12 @@
 //!
 //! * [`BroadcastHashJoinExec`]: build a hash table from the small side,
 //!   replicate it to every worker, probe locally ("BroadcastHash Join").
-//! * [`ShuffledHashJoinExec`]: shuffle both sides by key hash, build and
-//!   probe per co-located partition.
-//! * [`SortMergeJoinExec`]: shuffle both sides, sort each partition by key,
-//!   merge ("the notoriously slow SortMerge Join", §IV-E).
+//! * Shuffled joins are planned as [`crate::AdaptiveJoinExec`], which
+//!   shuffles both sides by key hash and then runs one of two reduce
+//!   bodies defined here: `shuffled_probe_core` (build and probe per
+//!   co-located partition) or `sort_merge_probe_core` (sort each
+//!   partition by key and merge — "the notoriously slow SortMerge Join",
+//!   §IV-E).
 //!
 //! All are inner equi-joins with null-rejecting keys; output columns are
 //! the left schema followed by the right schema. Every strategy re-builds
@@ -18,7 +20,7 @@ use crate::physical::{
 };
 use rowstore::{Row, Schema, Value};
 use sparklet::metrics::Metrics;
-use sparklet::ShuffleItem;
+use sparklet::row_bytes;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -57,7 +59,7 @@ pub(crate) fn joined(left: &Row, right: &Row) -> Row {
 pub(crate) fn parts_bytes(parts: &Partitions) -> u64 {
     parts
         .iter()
-        .flat_map(|p| p.iter().map(|r| r.approx_bytes() as u64))
+        .flat_map(|p| p.iter().map(|r| row_bytes(r) as u64))
         .sum()
 }
 
@@ -77,7 +79,7 @@ pub(crate) fn parts_bytes_sampled(parts: &Partitions) -> u64 {
     for (i, row) in parts.iter().flat_map(|p| p.iter()).enumerate() {
         if i % stride == 0 {
             sampled += 1;
-            bytes += row.approx_bytes() as u64;
+            bytes += row_bytes(row) as u64;
         }
     }
     bytes * rows as u64 / sampled.max(1)
@@ -113,7 +115,7 @@ pub(crate) fn broadcast_hash_core(
     // traffic per worker, memory once.
     let table_bytes: u64 = table
         .values()
-        .flat_map(|rows| rows.iter().map(|r| r.approx_bytes() as u64))
+        .flat_map(|rows| rows.iter().map(|r| row_bytes(r) as u64))
         .sum();
     let alive = ctx.cluster().alive_workers().len() as u64;
     sparklet::account_broadcast(ctx.cluster(), table_bytes, alive);
@@ -207,18 +209,6 @@ impl ExecPlan for BroadcastHashJoinExec {
     }
 }
 
-/// Shuffled-hash join: both sides are hash-partitioned on the key; each
-/// output partition builds a table from the build side and probes it.
-pub struct ShuffledHashJoinExec {
-    pub left: Arc<dyn ExecPlan>,
-    pub right: Arc<dyn ExecPlan>,
-    pub left_key: usize,
-    pub right_key: usize,
-    /// Build the hash table on the left side (else right).
-    pub build_left: bool,
-    pub out_schema: Arc<Schema>,
-}
-
 /// Key rows by their join-key hash for the exchange; null keys dropped.
 pub(crate) fn keyed(parts: Partitions, key: usize) -> Vec<Vec<(u64, Row)>> {
     parts
@@ -232,59 +222,9 @@ pub(crate) fn keyed(parts: Partitions, key: usize) -> Vec<Vec<(u64, Row)>> {
         .collect()
 }
 
-impl ExecPlan for ShuffledHashJoinExec {
-    fn schema(&self) -> Arc<Schema> {
-        Arc::clone(&self.out_schema)
-    }
-
-    fn execute(&self, ctx: &Arc<Context>) -> Result<Partitions, ExecError> {
-        let p = ctx.shuffle_partitions();
-        let left_parts = self.left.execute(ctx)?;
-        let right_parts = self.right.execute(ctx)?;
-        let rows_in = count_rows(&left_parts) + count_rows(&right_parts);
-        let (left_key, right_key, build_left) = (self.left_key, self.right_key, self.build_left);
-        let (left_schema, right_schema) = (self.left.schema(), self.right.schema());
-        observe_operator(ctx, "join.shuffled", rows_in, || {
-            // Both sides travel through the serialized wire format: packed
-            // blocks with exact byte accounting instead of cloned rows.
-            let left_shuffled = Arc::new(sparklet::exchange_rows(
-                ctx.cluster(),
-                &left_schema,
-                keyed(left_parts, left_key),
-                p,
-            )?);
-            let right_shuffled = Arc::new(sparklet::exchange_rows(
-                ctx.cluster(),
-                &right_schema,
-                keyed(right_parts, right_key),
-                p,
-            )?);
-            shuffled_probe_core(
-                ctx,
-                left_shuffled,
-                right_shuffled,
-                left_key,
-                right_key,
-                build_left,
-            )
-        })
-    }
-
-    fn describe(&self, indent: usize) -> String {
-        describe_node(
-            indent,
-            &format!(
-                "ShuffledHashJoin [build={}]",
-                if self.build_left { "left" } else { "right" }
-            ),
-            &[self.left.as_ref(), self.right.as_ref()],
-        )
-    }
-}
-
-/// Per-partition build + probe over already-shuffled sides (the reduce
-/// body of the shuffled-hash join). Shared by [`ShuffledHashJoinExec`]
-/// and the adaptive join's cold-key path. Output is always left ++ right.
+/// Per-partition build + probe over already-shuffled sides: the
+/// shuffled-hash reduce body of the adaptive join, also used for its
+/// salted join's cold keys. Output is always left ++ right.
 pub(crate) fn shuffled_probe_core(
     ctx: &Arc<Context>,
     left_shuffled: Arc<Partitions>,
@@ -332,25 +272,14 @@ pub(crate) fn shuffled_probe_core(
     .map_err(ExecError::from)
 }
 
-/// Sort-merge join: shuffle, sort both sides per partition, merge equal
-/// key runs.
-pub struct SortMergeJoinExec {
-    pub left: Arc<dyn ExecPlan>,
-    pub right: Arc<dyn ExecPlan>,
-    pub left_key: usize,
-    pub right_key: usize,
-    pub out_schema: Arc<Schema>,
-}
-
 fn cmp_vals(a: &Value, b: &Value) -> std::cmp::Ordering {
     a.sql_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// The sort-merge reduce body over already-shuffled sides: sort each
-/// partition by key and merge equal runs. Shared by [`SortMergeJoinExec`]
-/// and the adaptive join's sort-merge flavor (which re-decides strategy at
-/// runtime but falls back to this body when no demotion/salting applies).
-/// Output is always left ++ right.
+/// partition by key and merge equal runs. The adaptive join's sort-merge
+/// flavor (a `prefer_sort_merge` session) runs it when no demotion or
+/// salting applies. Output is always left ++ right.
 pub(crate) fn sort_merge_probe_core(
     ctx: &Arc<Context>,
     left_shuffled: Arc<Partitions>,
@@ -403,49 +332,12 @@ pub(crate) fn sort_merge_probe_core(
     .map_err(ExecError::from)
 }
 
-impl ExecPlan for SortMergeJoinExec {
-    fn schema(&self) -> Arc<Schema> {
-        Arc::clone(&self.out_schema)
-    }
-
-    fn execute(&self, ctx: &Arc<Context>) -> Result<Partitions, ExecError> {
-        let p = ctx.shuffle_partitions();
-        let left_parts = self.left.execute(ctx)?;
-        let right_parts = self.right.execute(ctx)?;
-        let rows_in = count_rows(&left_parts) + count_rows(&right_parts);
-        let (left_key, right_key) = (self.left_key, self.right_key);
-        let (left_schema, right_schema) = (self.left.schema(), self.right.schema());
-        observe_operator(ctx, "join.sortmerge", rows_in, || {
-            let left_shuffled = Arc::new(sparklet::exchange_rows(
-                ctx.cluster(),
-                &left_schema,
-                keyed(left_parts, left_key),
-                p,
-            )?);
-            let right_shuffled = Arc::new(sparklet::exchange_rows(
-                ctx.cluster(),
-                &right_schema,
-                keyed(right_parts, right_key),
-                p,
-            )?);
-
-            sort_merge_probe_core(ctx, left_shuffled, right_shuffled, left_key, right_key)
-        })
-    }
-
-    fn describe(&self, indent: usize) -> String {
-        describe_node(
-            indent,
-            "SortMergeJoin",
-            &[self.left.as_ref(), self.right.as_ref()],
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::ColumnarTable;
+    use crate::context::ExecConfig;
+    use crate::physical::adaptive::AdaptiveJoinExec;
     use crate::physical::gather;
     use crate::physical::scan::ColumnarScanExec;
     use rowstore::{DataType, Field};
@@ -483,17 +375,21 @@ mod tests {
         rows
     }
 
-    /// Reference nested-loop join.
-    fn expected() -> Vec<Row> {
+    /// Reference nested-loop join (left ++ right column order).
+    fn nested_loop(left: &[Row], right: &[Row]) -> Vec<Row> {
         let mut out = Vec::new();
-        for l in left_rows() {
-            for r in right_rows() {
+        for l in left {
+            for r in right {
                 if l[0].sql_eq(&r[0]) {
-                    out.push(joined(&l, &r));
+                    out.push(joined(l, r));
                 }
             }
         }
         out
+    }
+
+    fn expected() -> Vec<Row> {
+        nested_loop(&left_rows(), &right_rows())
     }
 
     type JoinFixture = (
@@ -559,48 +455,70 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shuffled_hash_join_matches_reference() {
-        let (ctx, ls, rs, schema) = setup();
-        let j = ShuffledHashJoinExec {
-            left: ls,
-            right: rs,
+    /// A shuffled join the way the planner emits it: the adaptive join
+    /// under a zero broadcast threshold (nothing demotes or salts a
+    /// non-empty build side), with the hash or sort-merge reduce body.
+    fn shuffled_join(
+        left: Arc<dyn ExecPlan>,
+        right: Arc<dyn ExecPlan>,
+        sort_merge: bool,
+    ) -> (Arc<Context>, AdaptiveJoinExec) {
+        let ctx = Context::with_config(
+            Cluster::new(ClusterConfig::test_small()),
+            ExecConfig {
+                broadcast_threshold_bytes: 0,
+                ..ExecConfig::default()
+            },
+        );
+        let out_schema = left.schema().join(&right.schema());
+        let join = AdaptiveJoinExec {
+            left,
+            right,
             left_key: 0,
             right_key: 0,
-            build_left: false,
-            out_schema: schema,
+            left_stats: None,
+            right_stats: None,
+            sort_merge,
+            out_schema,
         };
-        let got = gather(j.execute(&ctx).unwrap());
-        assert_eq!(sorted(got), sorted(expected()));
-        let m = ctx.cluster().metrics().snapshot();
-        assert!(m.shuffle_rows > 0, "shuffled join must shuffle");
+        (ctx, join)
     }
 
     #[test]
-    fn shuffled_hash_join_build_left() {
-        let (ctx, ls, rs, schema) = setup();
-        let j = ShuffledHashJoinExec {
-            left: ls,
-            right: rs,
-            left_key: 0,
-            right_key: 0,
-            build_left: true,
-            out_schema: schema,
-        };
-        assert_eq!(sorted(gather(j.execute(&ctx).unwrap())), sorted(expected()));
+    fn shuffled_joins_match_reference() {
+        for sort_merge in [false, true] {
+            let (_, ls, rs, _) = setup();
+            let (ctx, j) = shuffled_join(ls, rs, sort_merge);
+            let got = gather(j.execute(&ctx).unwrap());
+            assert_eq!(sorted(got), sorted(expected()), "sort_merge={sort_merge}");
+            let m = ctx.cluster().metrics().snapshot();
+            assert!(m.shuffle_rows > 0, "shuffled join must shuffle");
+            let reg = ctx.cluster().registry();
+            assert_eq!(reg.counter_value("adaptive.join_demotions"), 0);
+            assert_eq!(reg.counter_value("adaptive.salted_joins"), 0);
+        }
     }
 
     #[test]
-    fn sort_merge_join_matches_reference() {
-        let (ctx, ls, rs, schema) = setup();
-        let j = SortMergeJoinExec {
-            left: ls,
-            right: rs,
-            left_key: 0,
-            right_key: 0,
-            out_schema: schema,
-        };
-        assert_eq!(sorted(gather(j.execute(&ctx).unwrap())), sorted(expected()));
+    fn shuffled_joins_build_on_either_side() {
+        // The build side is the one that measures smaller: the right side
+        // here, the left side once the inputs are swapped. Column order is
+        // left ++ right either way.
+        for sort_merge in [false, true] {
+            let (_, ls, rs, _) = setup();
+            let (ctx, j) = shuffled_join(Arc::clone(&rs), Arc::clone(&ls), sort_merge);
+            assert_eq!(
+                sorted(gather(j.execute(&ctx).unwrap())),
+                sorted(nested_loop(&right_rows(), &left_rows())),
+                "build left, sort_merge={sort_merge}"
+            );
+            let (ctx, j) = shuffled_join(ls, rs, sort_merge);
+            assert_eq!(
+                sorted(gather(j.execute(&ctx).unwrap())),
+                sorted(expected()),
+                "build right, sort_merge={sort_merge}"
+            );
+        }
     }
 
     #[test]
@@ -614,26 +532,13 @@ mod tests {
             .collect();
         let lt = Arc::new(ColumnarTable::from_rows(left_schema(), ls_rows, 2));
         let rt = Arc::new(ColumnarTable::from_rows(right_schema(), rs_rows, 1));
-        let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let schema = left_schema().join(&right_schema());
-        for exec in [
-            Box::new(SortMergeJoinExec {
-                left: Arc::new(ColumnarScanExec::new(lt.clone(), None, None)),
-                right: Arc::new(ColumnarScanExec::new(rt.clone(), None, None)),
-                left_key: 0,
-                right_key: 0,
-                out_schema: schema.clone(),
-            }) as Box<dyn ExecPlan>,
-            Box::new(ShuffledHashJoinExec {
-                left: Arc::new(ColumnarScanExec::new(lt.clone(), None, None)),
-                right: Arc::new(ColumnarScanExec::new(rt.clone(), None, None)),
-                left_key: 0,
-                right_key: 0,
-                build_left: false,
-                out_schema: schema.clone(),
-            }),
-        ] {
-            assert_eq!(gather(exec.execute(&ctx).unwrap()).len(), 6);
+        for sort_merge in [true, false] {
+            let (ctx, j) = shuffled_join(
+                Arc::new(ColumnarScanExec::new(lt.clone(), None, None)),
+                Arc::new(ColumnarScanExec::new(rt.clone(), None, None)),
+                sort_merge,
+            );
+            assert_eq!(gather(j.execute(&ctx).unwrap()).len(), 6);
         }
     }
 
@@ -641,16 +546,13 @@ mod tests {
     fn empty_sides() {
         let lt = Arc::new(ColumnarTable::from_rows(left_schema(), Vec::new(), 2));
         let rt = Arc::new(ColumnarTable::from_rows(right_schema(), right_rows(), 2));
-        let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let schema = left_schema().join(&right_schema());
-        let j = ShuffledHashJoinExec {
-            left: Arc::new(ColumnarScanExec::new(lt, None, None)),
-            right: Arc::new(ColumnarScanExec::new(rt, None, None)),
-            left_key: 0,
-            right_key: 0,
-            build_left: false,
-            out_schema: schema,
-        };
-        assert!(gather(j.execute(&ctx).unwrap()).is_empty());
+        for sort_merge in [false, true] {
+            let (ctx, j) = shuffled_join(
+                Arc::new(ColumnarScanExec::new(lt.clone(), None, None)),
+                Arc::new(ColumnarScanExec::new(rt.clone(), None, None)),
+                sort_merge,
+            );
+            assert!(gather(j.execute(&ctx).unwrap()).is_empty());
+        }
     }
 }

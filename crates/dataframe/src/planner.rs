@@ -6,7 +6,7 @@
 //! plan into a physical plan"). Default planning fuses filters and
 //! column-only projections into columnar scans and picks join strategies
 //! the way Spark does: broadcast-hash below the size threshold, otherwise
-//! shuffled-hash or sort-merge.
+//! a shuffled join that re-decides its strategy at runtime.
 
 use crate::column::ColumnarTable;
 use crate::context::{Context, StatsTarget};
@@ -14,7 +14,7 @@ use crate::expr::{BoundExpr, Expr, PlanError};
 use crate::physical::adaptive::AdaptiveJoinExec;
 use crate::physical::agg::{BoundAgg, HashAggExec};
 use crate::physical::filter::FilterExec;
-use crate::physical::join::{BroadcastHashJoinExec, ShuffledHashJoinExec, SortMergeJoinExec};
+use crate::physical::join::BroadcastHashJoinExec;
 use crate::physical::limit::LimitExec;
 use crate::physical::pipeline::{ColumnarPipelineExec, Projection};
 use crate::physical::project::ProjectExec;
@@ -356,37 +356,18 @@ impl Planner {
                 out_schema,
             }));
         }
-        if ctx.config().adaptive {
-            // No side is estimated broadcastable — defer the strategy
-            // decision to runtime, when materialized sizes and key
-            // frequencies are known (demotion / salting / plain shuffle,
-            // with the sort-merge reduce body when the session prefers it).
-            return Ok(Arc::new(AdaptiveJoinExec {
-                left: left_phys,
-                right: right_phys,
-                left_key: lk,
-                right_key: rk,
-                left_stats: stats_target(left),
-                right_stats: stats_target(right),
-                sort_merge: ctx.config().prefer_sort_merge,
-                out_schema,
-            }));
-        }
-        if ctx.config().prefer_sort_merge {
-            return Ok(Arc::new(SortMergeJoinExec {
-                left: left_phys,
-                right: right_phys,
-                left_key: lk,
-                right_key: rk,
-                out_schema,
-            }));
-        }
-        Ok(Arc::new(ShuffledHashJoinExec {
+        // No side is estimated broadcastable — defer the strategy decision
+        // to runtime, when materialized sizes and key frequencies are known
+        // (demotion / salting / plain shuffle, with the sort-merge reduce
+        // body when the session prefers it).
+        Ok(Arc::new(AdaptiveJoinExec {
             left: left_phys,
             right: right_phys,
             left_key: lk,
             right_key: rk,
-            build_left: lsize <= rsize,
+            left_stats: stats_target(left),
+            right_stats: stats_target(right),
+            sort_merge: ctx.config().prefer_sort_merge,
             out_schema,
         }))
     }
@@ -521,27 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn join_above_threshold_uses_shuffled_hash() {
-        let ctx = ctx_with_tables_cfg(ExecConfig {
-            broadcast_threshold_bytes: 1, // nothing broadcasts
-            adaptive: false,              // static strategy selection
-            ..ExecConfig::default()
-        });
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan(&ctx, "big")),
-            right: Box::new(scan(&ctx, "small")),
-            left_key: "k".into(),
-            right_key: "k".into(),
-        };
-        let phys = Planner::new().plan(&plan, &ctx).unwrap();
-        assert!(
-            phys.describe(0).contains("ShuffledHashJoin"),
-            "{}",
-            phys.describe(0)
-        );
-    }
-
-    #[test]
     fn join_above_threshold_defaults_to_adaptive() {
         let ctx = ctx_with_tables(1); // nothing broadcasts statically
         let plan = LogicalPlan::Join {
@@ -595,34 +555,9 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_when_preferred() {
-        let cluster = Cluster::new(ClusterConfig::test_small());
-        let ctx = Context::with_config(
-            cluster,
-            ExecConfig {
-                broadcast_threshold_bytes: 1,
-                prefer_sort_merge: true,
-                adaptive: false,
-                ..ExecConfig::default()
-            },
-        );
-        let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
-        let rows: Vec<Row> = (0..10).map(|i| vec![Value::Int64(i)]).collect();
-        ctx.register_table("t", Arc::new(ColumnarTable::from_rows(schema, rows, 2)));
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan(&ctx, "t")),
-            right: Box::new(scan(&ctx, "t")),
-            left_key: "k".into(),
-            right_key: "k".into(),
-        };
-        let phys = Planner::new().plan(&plan, &ctx).unwrap();
-        assert!(phys.describe(0).contains("SortMergeJoin"));
-    }
-
-    #[test]
     fn sort_merge_preference_rides_the_adaptive_operator() {
-        // prefer_sort_merge with adaptive on: the join still re-decides at
-        // runtime, but its no-opportunity fallback is the sort-merge body.
+        // prefer_sort_merge: the join still re-decides at runtime, but its
+        // no-opportunity fallback is the sort-merge body.
         let ctx = ctx_with_tables_cfg(ExecConfig {
             broadcast_threshold_bytes: 1,
             prefer_sort_merge: true,

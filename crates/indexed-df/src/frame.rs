@@ -386,11 +386,10 @@ impl IdfInner {
             for (i, r) in rows.into_iter().enumerate() {
                 inputs[i / chunk].push((r[index_col].key_hash(), r));
             }
-            // The adaptive exchange splits oversized reduce buckets and
-            // coalesces near-empty ones when the index column is skewed;
-            // its output is bit-identical to the static exchange.
-            let (out, _stats) = sparklet::exchange_rows_adaptive(cluster, &self.schema, inputs, p)?;
-            let out = Arc::new(out);
+            // The exchange splits oversized reduce buckets and coalesces
+            // near-empty ones when the index column is skewed; its output
+            // does not depend on the plan.
+            let out = Arc::new(sparklet::exchange_rows(cluster, &self.schema, inputs, p)?);
             *self.buckets.lock() = Some(Arc::clone(&out));
             out
         };

@@ -24,7 +24,7 @@ use dataframe::physical::{
 use dataframe::{Context, LogicalPlan, PlanError, Planner, PlannerRule};
 use rowstore::{Row, Schema, Value};
 use sparklet::metrics::Metrics;
-use sparklet::{partition_of, ShuffleItem, TaskSpec};
+use sparklet::{partition_of, row_bytes, TaskSpec};
 use std::sync::Arc;
 
 /// Install the indexed planning rule into a context (idempotent).
@@ -195,7 +195,7 @@ impl ExecPlan for IndexedJoinExec {
             // queries amortize it — the effect of Fig. 1).
             self.table.ensure_cached()?;
 
-            let probe_bytes: usize = probe_parts.iter().flatten().map(|r| r.approx_bytes()).sum();
+            let probe_bytes: usize = probe_parts.iter().flatten().map(row_bytes).sum();
             let p = self.table.num_partitions();
             let probe_key = self.probe_key;
             let indexed_is_left = self.indexed_is_left;

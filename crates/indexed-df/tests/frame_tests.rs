@@ -284,6 +284,7 @@ fn mid_stage_worker_kill_recovers_via_retry_and_lineage() {
     // returns correct results; no panic crosses `run_stage`.
     use sparklet::TaskSpec;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
 
     let cluster = Cluster::new(ClusterConfig {
         workers: 3,
@@ -310,15 +311,29 @@ fn mid_stage_worker_kill_recovers_via_retry_and_lineage() {
             preferred_worker: Some(cluster.worker_for_partition(p)),
         })
         .collect();
+    // Handshake instead of timing: an attempt on worker 1 announces it is
+    // in flight and then holds until it sees the kill; the first attempt
+    // elsewhere waits for that announcement before killing worker 1. So
+    // the kill always lands while a worker-1 attempt is running. Both
+    // waits are bounded, so a scheduling surprise fails the assertions
+    // below instead of hanging the test.
+    fn wait_until(cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+    let victim_started = Arc::new(AtomicBool::new(false));
     let killed = Arc::new(AtomicBool::new(false));
     let killer = Arc::clone(&cluster);
     let scan = idf.clone();
     let counts = cluster
         .run_stage(&tasks, move |tc| {
             if tc.worker == 1 {
-                // Stay in flight long enough for the kill to land mid-task.
-                std::thread::sleep(std::time::Duration::from_millis(40));
+                victim_started.store(true, Ordering::SeqCst);
+                wait_until(|| !killer.is_alive(1));
             } else if !killed.swap(true, Ordering::SeqCst) {
+                wait_until(|| victim_started.load(Ordering::SeqCst));
                 killer.kill_worker(1);
             }
             scan.partition(tc.partition).scan().len()

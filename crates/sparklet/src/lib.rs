@@ -11,8 +11,8 @@
 //! * locality-aware task scheduling with fallback when a worker is dead or
 //!   busy (§III-D), and fallible stage execution ([`Cluster::run_stage`])
 //!   that retries failed task attempts on surviving workers;
-//! * hash-partitioned [`shuffle::exchange`] and [`shuffle::broadcast`]
-//!   (§III-C "Scheduling Physical Operators");
+//! * one hash-partitioned, skew-aware [`shuffle::exchange_rows`] plus
+//!   broadcast accounting (§III-C "Scheduling Physical Operators");
 //! * a per-worker **versioned block cache** — the partition version numbers
 //!   that keep appends consistent when stale copies exist (§III-D);
 //! * failure injection ([`Cluster::kill_worker`]) for the Fig. 12
@@ -54,7 +54,6 @@ pub use scheduler::{
     Admission, AdmissionGuard, AdmissionTicket, AdmitError, QueryId, QueryRef, Scheduler,
 };
 pub use shuffle::{
-    account_broadcast, broadcast, exchange, exchange_cloning, exchange_rows,
-    exchange_rows_adaptive, exchange_rows_stats, partition_of, plan_reduce_tasks, ExchangeStats,
-    ReduceTask, ShuffleCodec, ShuffleItem,
+    account_broadcast, exchange_rows, partition_of, plan_reduce_tasks, row_bytes, ReduceTask,
+    ShuffleCodec,
 };

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rowstore::{DataType, Field, Row, Schema, Value};
-use sparklet::{exchange, exchange_rows, partition_of, Cluster, ClusterConfig, TaskSpec};
+use sparklet::{exchange_rows, partition_of, Cluster, ClusterConfig, TaskSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -41,6 +41,23 @@ fn keyed_rows(max: usize) -> impl Strategy<Value = Vec<(u64, Row)>> {
     })
 }
 
+/// Schema of the arbitrary-hash properties: one Int64 payload column.
+fn payload_schema() -> Arc<Schema> {
+    Schema::new(vec![Field::new("v", DataType::Int64)])
+}
+
+/// Rows carrying `v` under an arbitrary hash `h` (not derived from `v`).
+fn payload_inputs(parts: &[Vec<(u64, u32)>]) -> Vec<Vec<(u64, Row)>> {
+    parts
+        .iter()
+        .map(|p| {
+            p.iter()
+                .map(|(h, v)| (*h, vec![Value::Int64(*v as i64)]))
+                .collect()
+        })
+        .collect()
+}
+
 /// The exact expected output of `exchange_rows`: partition `j` holds map
 /// partition 0's rows for `j` in input order, then map partition 1's, ...
 fn reference_exchange(inputs: &[Vec<(u64, Row)>], num_out: usize) -> Vec<Vec<Row>> {
@@ -67,29 +84,17 @@ proptest! {
         num_out in 1usize..9,
     ) {
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let mut expected: HashMap<u32, u64> = HashMap::new();
-        let mut dup_guard = 0u64;
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = parts
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .map(|(h, v)| {
-                        dup_guard += 1;
-                        expected.insert(*v, *h);
-                        (*h, v.to_le_bytes().to_vec())
-                    })
-                    .collect()
-            })
-            .collect();
+        let expected: HashMap<u32, u64> = parts.iter().flatten().map(|(h, v)| (*v, *h)).collect();
+        let inputs = payload_inputs(&parts);
         let total_in: usize = inputs.iter().map(Vec::len).sum();
-        let out = exchange(&cluster, inputs, num_out).unwrap();
+        let out = exchange_rows(&cluster, &payload_schema(), inputs, num_out).unwrap();
         prop_assert_eq!(out.len(), num_out);
         let total_out: usize = out.iter().map(Vec::len).sum();
         prop_assert_eq!(total_out, total_in);
         for (j, bucket) in out.iter().enumerate() {
-            for item in bucket {
-                let v = u32::from_le_bytes(item[..4].try_into().unwrap());
-                if let Some(h) = expected.get(&v) {
+            for row in bucket {
+                let Value::Int64(v) = row[0] else { panic!("payload must be Int64") };
+                if let Some(h) = expected.get(&(v as u32)) {
                     prop_assert_eq!(partition_of(*h, num_out), j, "item in wrong partition");
                 }
             }
@@ -115,20 +120,23 @@ proptest! {
             max_task_attempts: 4,
             skew_ratio: 2.0,
         });
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = parts
-            .iter()
-            .map(|p| p.iter().map(|(h, v)| (*h, v.to_le_bytes().to_vec())).collect())
-            .collect();
-        let mut expected: Vec<Vec<u8>> =
-            inputs.iter().flatten().map(|(_, item)| item.clone()).collect();
+        let inputs = payload_inputs(&parts);
+        let mut expected: Vec<i64> = parts.iter().flatten().map(|(_, v)| *v as i64).collect();
         let killer = cluster.clone();
         let chaos = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_micros(delay_us));
             killer.kill_worker(victim);
         });
-        let out = exchange(&cluster, inputs, num_out).unwrap();
+        let out = exchange_rows(&cluster, &payload_schema(), inputs, num_out).unwrap();
         chaos.join().unwrap();
-        let mut delivered: Vec<Vec<u8>> = out.into_iter().flatten().collect();
+        let mut delivered: Vec<i64> = out
+            .into_iter()
+            .flatten()
+            .map(|row| match row[0] {
+                Value::Int64(v) => v,
+                _ => panic!("payload must be Int64"),
+            })
+            .collect();
         delivered.sort();
         expected.sort();
         prop_assert_eq!(delivered, expected);
@@ -225,16 +233,26 @@ proptest! {
     }
 }
 
-/// Exchange under concurrent metric readers stays consistent.
+/// The exchange accounts rows and exact wire bytes.
 #[test]
 fn exchange_metrics_account_rows_and_bytes() {
     let cluster = Cluster::new(ClusterConfig::test_small());
-    let inputs: Vec<Vec<(u64, Vec<u8>)>> = (0..4)
-        .map(|p| (0..250u64).map(|i| (i * 31 + p, vec![0u8; 10])).collect())
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("v", DataType::Int64),
+    ]);
+    let inputs: Vec<Vec<(u64, Row)>> = (0..4u64)
+        .map(|p| {
+            (0..250u64)
+                .map(|i| (i * 31 + p, vec![Value::Int64(i as i64), Value::Int64(0)]))
+                .collect()
+        })
         .collect();
-    let out = exchange(&cluster, inputs, 8).unwrap();
+    let out = exchange_rows(&cluster, &schema, inputs, 8).unwrap();
     assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 1000);
     let m = cluster.metrics().snapshot();
     assert_eq!(m.shuffle_rows, 1000);
-    assert_eq!(m.shuffle_bytes, 10_000);
+    // Each row is a 4-byte length prefix plus a 1-byte null bitmap and two
+    // 8-byte values; each of the 4 × 8 blocks adds a 4-byte row-count header.
+    assert_eq!(m.shuffle_bytes, 1000 * (4 + 1 + 16) + 32 * 4);
 }

@@ -1,17 +1,17 @@
 //! Property-based equivalence: adaptive execution must be invisible in the
 //! *results*. For any schema, data distribution, partition count, and
-//! broadcast threshold, the adaptive paths produce exactly what the static
-//! paths produce — bit-identical partitions for the exchange, the same
-//! join multiset for the adaptive join — including under a mid-stage
-//! worker kill while a split reduce plan is in flight (a retried slice
-//! must not double-apply the split).
+//! broadcast threshold, the adaptive paths produce exactly what sequential
+//! oracles produce — bit-identical partitions for the exchange (the static
+//! one-bucket-per-partition result, computed on the driver), the exact
+//! nested-loop join multiset for the adaptive join — including under a
+//! mid-stage worker kill while a split reduce plan is in flight (a retried
+//! slice must not double-apply the split).
 
-use dataframe::physical::join::ShuffledHashJoinExec;
 use dataframe::physical::scan::ColumnarScanExec;
 use dataframe::{AdaptiveJoinExec, ColumnarTable, Context, ExecConfig, ExecPlan, Partitions};
 use proptest::prelude::*;
 use rowstore::{DataType, Field, Row, Schema, Value};
-use sparklet::{exchange_rows, exchange_rows_adaptive, Cluster, ClusterConfig};
+use sparklet::{exchange_rows, partition_of, Cluster, ClusterConfig};
 use std::sync::Arc;
 
 // ----------------------------------------------------------------------
@@ -82,11 +82,40 @@ fn gather(parts: Partitions) -> Vec<Row> {
     parts.into_iter().flatten().collect()
 }
 
+/// The static exchange, sequentially: partition `j` holds map partition
+/// 0's rows for `j` in input order, then map partition 1's, and so on.
+fn reference_exchange(inputs: &[Vec<(u64, Row)>], num_out: usize) -> Vec<Vec<Row>> {
+    let mut out: Vec<Vec<Row>> = (0..num_out).map(|_| Vec::new()).collect();
+    for part in inputs {
+        for (h, row) in part {
+            out[partition_of(*h, num_out)].push(row.clone());
+        }
+    }
+    out
+}
+
+/// Nested-loop inner join on column 0 (null keys never match), left ++
+/// right column order.
+fn nested_loop_join(left: &[Row], right: &[Row]) -> Vec<Row> {
+    let mut out = Vec::new();
+    for l in left {
+        for r in right {
+            if l[0].sql_eq(&r[0]) {
+                let mut row = l.clone();
+                row.extend_from_slice(r);
+                out.push(row);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// The adaptive exchange is bit-identical (same partitions, same row
-    /// order) to the static exchange for any schema, skew, and fan-out.
+    /// order) to the static exchange's sequential oracle for any schema,
+    /// skew, and fan-out.
     #[test]
     fn adaptive_exchange_matches_static(
         extra in proptest::collection::vec(any::<u8>(), 0..3),
@@ -112,16 +141,16 @@ proptest! {
         }
 
         let c = Cluster::new(ClusterConfig::test_small());
-        let want = exchange_rows(&c, &schema, inputs.clone(), parts).unwrap();
-        let (got, stats) = exchange_rows_adaptive(&c, &schema, inputs, parts).unwrap();
+        let want = reference_exchange(&inputs, parts);
+        let got = exchange_rows(&c, &schema, inputs, parts).unwrap();
         prop_assert_eq!(&got, &want, "adaptive exchange must be bit-identical");
-        let total: u64 = stats.per_partition_rows.iter().sum();
+        let total = c.registry().counter_value("shuffle.rows");
         prop_assert_eq!(total, want.iter().map(|p| p.len() as u64).sum::<u64>());
     }
 
-    /// The adaptive join returns exactly the static shuffled-hash join's
-    /// multiset for any schema, skew, and broadcast threshold — whichever
-    /// runtime strategy (demote / salted / plain shuffle) it picks.
+    /// The adaptive join returns exactly the nested-loop join's multiset
+    /// for any schema, skew, and broadcast threshold — whichever runtime
+    /// strategy (demote / salted / plain shuffle) it picks.
     #[test]
     fn adaptive_join_matches_static_join(
         extra in proptest::collection::vec(any::<u8>(), 0..3),
@@ -134,19 +163,7 @@ proptest! {
         let build = gen_rows(&extra, &build_data, distinct);
         let probe = gen_rows(&extra, &probe_data, distinct);
         let out_schema = schema.join(&schema);
-
-        let static_ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let want = {
-            let j = ShuffledHashJoinExec {
-                left: scan(&schema, build.clone()),
-                right: scan(&schema, probe.clone()),
-                left_key: 0,
-                right_key: 0,
-                build_left: true,
-                out_schema: Arc::clone(&out_schema),
-            };
-            gather(j.execute(&static_ctx).unwrap())
-        };
+        let want = nested_loop_join(&build, &probe);
 
         let ctx = Context::with_config(
             Cluster::new(ClusterConfig::test_small()),
@@ -178,8 +195,9 @@ fn scan(schema: &Arc<Schema>, rows: Vec<Row>) -> Arc<dyn ExecPlan> {
 
 /// A worker dies while the adaptive exchange's split reduce plan is in
 /// flight: the retried tasks re-execute read-only plan entries, so the
-/// output stays bit-identical to the static exchange (a split is never
-/// double-applied) across several kill timings and skew shapes.
+/// output stays bit-identical to the static exchange's sequential oracle
+/// (a split is never double-applied) across several kill timings and skew
+/// shapes.
 #[test]
 fn killed_worker_mid_split_never_double_applies() {
     for (attempt, hot_per_map) in [(0u64, 400usize), (1, 700), (2, 250), (3, 500)] {
@@ -208,14 +226,14 @@ fn killed_worker_mid_split_never_double_applies() {
                     .collect()
             })
             .collect();
-        let want = exchange_rows(&c, &schema, inputs.clone(), 6).unwrap();
+        let want = reference_exchange(&inputs, 6);
 
         let killer = c.clone();
         let chaos = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(1 + attempt));
             killer.kill_worker((attempt % 3) as usize);
         });
-        let (got, _) = exchange_rows_adaptive(&c, &schema, inputs, 6).unwrap();
+        let got = exchange_rows(&c, &schema, inputs, 6).unwrap();
         chaos.join().unwrap();
         assert_eq!(got, want, "attempt {attempt}");
         assert!(

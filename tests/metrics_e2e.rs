@@ -31,14 +31,14 @@ fn four_worker_run_populates_every_metric_layer() {
         max_task_attempts: 4,
         skew_ratio: 2.0,
     });
-    // Force the *static* shuffled join path so the op.join.shuffled series
-    // are exercised (adaptive planning would emit op.join.adaptive instead;
-    // that layer is covered by adaptive_metrics_populate_in_skewed_run).
+    // A zero broadcast threshold forces the shuffled join: the planner
+    // emits the adaptive join, which finds nothing to demote or salt in
+    // these uniform inputs and shuffles both sides (the individual
+    // adaptive decisions are covered by adaptive_metrics_populate_in_skewed_run).
     let ctx = Context::with_config(
         Arc::clone(&cluster),
         ExecConfig {
             broadcast_threshold_bytes: 0,
-            adaptive: false,
             ..ExecConfig::default()
         },
     );
@@ -87,7 +87,7 @@ fn four_worker_run_populates_every_metric_layer() {
     assert!(registry.counter_value("index.build_ns") > 0, "build timed");
 
     // Per-operator timings for at least scan / join / agg.
-    for op in ["op.scan.ns", "op.join.shuffled.ns", "op.agg.ns"] {
+    for op in ["op.scan.ns", "op.join.adaptive.ns", "op.agg.ns"] {
         let h = registry.histogram_snapshot(op).unwrap_or_else(|| {
             panic!("histogram {op} must exist");
         });
@@ -95,7 +95,9 @@ fn four_worker_run_populates_every_metric_layer() {
         assert!(h.sum > 0, "{op} nonzero time");
     }
     assert!(registry.counter_value("op.scan.rows_in") > 0);
-    assert!(registry.counter_value("op.join.shuffled.rows_out") > 0);
+    assert!(registry.counter_value("op.join.adaptive.rows_out") > 0);
+    assert_eq!(registry.counter_value("adaptive.join_demotions"), 0);
+    assert_eq!(registry.counter_value("adaptive.salted_joins"), 0);
     assert!(registry.counter_value("op.agg.rows_out") > 0);
 
     // Execution-path split: the columnar scans and the aggregation above
@@ -122,7 +124,7 @@ fn four_worker_run_populates_every_metric_layer() {
     for needle in [
         "\"shuffle.bytes\"",
         "\"op.scan.ns\"",
-        "\"op.join.shuffled.ns\"",
+        "\"op.join.adaptive.ns\"",
         "\"op.agg.ns\"",
         "\"index.cache.hits\"",
         "\"index.cache.misses\"",
