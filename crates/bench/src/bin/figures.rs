@@ -10,7 +10,7 @@
 //!   vectorized — batch kernels vs row operators (regression record)
 //!   index_build — bulk-load + single-replay build vs row-at-a-time (regression record)
 //!   serve      — closed-loop multi-tenant SQL serving, 1/4/16 clients (regression record)
-//!   memory     — governed serving under a byte budget: spill vs recompute (regression record)
+//!   memory     — governed serving under a byte budget with spill (regression record)
 //!   ivm        — standing queries: incremental maintenance vs recompute-per-version (regression record)
 //!   ablate-layout ablate-broadcast ablate-mvcc ablate-partitioning
 //!   all        — everything above

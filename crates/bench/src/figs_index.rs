@@ -9,10 +9,9 @@
 //! * `partition` — pure index build on one [`IndexedPartition`]: grouped
 //!   `bulk_insert` (one single-traversal upsert per distinct key, rows
 //!   appended contiguously per group) vs the row-at-a-time `insert_row`
-//!   baseline (a lookup plus an insert traversal per row);
+//!   reference (a lookup plus an insert traversal per row);
 //! * `frame`     — end-to-end `cache_index` on a simulated cluster:
-//!   single-replay shuffle + bulk partition builds vs the same pipeline
-//!   forced onto the `row_at_a_time()` baseline.
+//!   single-replay shuffle + bulk partition builds.
 //!
 //! Row generation is excluded from the timed regions.
 
@@ -102,40 +101,26 @@ pub fn index_build(opts: &Opts) {
 
     // Frame level: replay → shuffle → per-partition build on the cluster.
     // Fresh context per rep so every build pays the full pipeline.
-    let build_frame = |bulk: bool| {
+    let mut last_ctx = None;
+    let frame_bulk = Stats::of(&time_reps(reps, || {
         let ctx = cluster_ctx(workers);
-        let mut b = IndexedDataFrame::builder(&ctx, Arc::clone(&schema), "k")
+        let idf = IndexedDataFrame::builder(&ctx, Arc::clone(&schema), "k")
             .unwrap()
-            .rows(rows.clone());
-        if !bulk {
-            b = b.row_at_a_time();
-        }
-        let idf = b.build().unwrap();
+            .rows(rows.clone())
+            .build()
+            .unwrap();
         idf.cache_index().unwrap();
         assert_eq!(idf.num_rows(), rows_n);
-        ctx
-    };
-    let mut last_bulk_ctx = None;
-    let frame_bulk = Stats::of(&time_reps(reps, || {
-        last_bulk_ctx = Some(build_frame(true));
+        last_ctx = Some(ctx);
     }));
-    let bulk_frame_ms = record(&mut perf, "frame", "bulk", frame_bulk);
-    let mut last_row_ctx = None;
-    let frame_row = Stats::of(&time_reps(reps, || {
-        last_row_ctx = Some(build_frame(false));
-    }));
-    let row_frame_ms = record(&mut perf, "frame", "row", frame_row);
-    perf.attach("bulk", last_bulk_ctx.as_ref().unwrap());
-    perf.attach("row", last_row_ctx.as_ref().unwrap());
+    record(&mut perf, "frame", "bulk", frame_bulk);
+    perf.attach("bulk", last_ctx.as_ref().unwrap());
 
     let partition_speedup = row_part_ms / bulk_part_ms;
-    let frame_speedup = row_frame_ms / bulk_frame_ms;
     perf.extra("rows", rows_n as f64);
     perf.extra("keys", keys as f64);
     perf.extra("partition_speedup", partition_speedup);
-    perf.extra("frame_speedup", frame_speedup);
     println!("bulk speedup vs row-at-a-time (partition build): {partition_speedup:.2}x");
-    println!("bulk speedup vs row-at-a-time (frame build):     {frame_speedup:.2}x");
 
     write_csv(
         opts,

@@ -4,13 +4,10 @@
 //!
 //! Workload 1 — scan → filter → project over a columnar table:
 //!
-//! * `row`      — materialize every row, per-row predicate tree walk in
+//! * `row`   — materialize every row, per-row predicate tree walk in
 //!   `FilterExec`, per-row clones in `ProjectExec` (the pre-vectorization
 //!   plan shape);
-//! * `pushdown` — `ColumnarScanExec` with predicate/projection pushdown:
-//!   still row-at-a-time (`eval_columnar`), but decodes only referenced
-//!   columns;
-//! * `fused`    — `ColumnarPipelineExec`: predicate → selection vector via
+//! * `fused` — `ColumnarPipelineExec`: predicate → selection vector via
 //!   batch kernels, then a gather of only the projected columns.
 //!
 //! Workload 2 — grouped aggregation over the same table:
@@ -25,7 +22,7 @@ use crate::{banner, time_reps, write_csv, Opts, Stats};
 use dataframe::physical::agg::{BoundAgg, HashAggExec};
 use dataframe::physical::filter::FilterExec;
 use dataframe::physical::project::ProjectExec;
-use dataframe::physical::scan::ColumnarScanExec;
+use dataframe::physical::scan::ProviderScanExec;
 use dataframe::physical::ExecPlan;
 use dataframe::{
     col, lit, AggFunc, BoundExpr, ColumnarPipelineExec, ColumnarSource, ColumnarTable, Context,
@@ -102,26 +99,12 @@ pub fn vectorized(opts: &Opts) {
                 move || {
                     Arc::new(ProjectExec {
                         input: Arc::new(FilterExec {
-                            input: Arc::new(ColumnarScanExec::new(Arc::clone(&table), None, None)),
+                            input: Arc::new(ProviderScanExec::new(table.clone(), "bench")),
                             predicate: predicate(rows),
                         }),
                         exprs: vec![BoundExpr::Col(0), BoundExpr::Col(2)],
                         out_schema: Arc::clone(&proj_schema),
                     }) as Arc<dyn ExecPlan>
-                }
-            }),
-        ),
-        (
-            "pushdown",
-            Box::new({
-                let table = Arc::clone(&table);
-                let proj_cols = proj_cols.clone();
-                move || {
-                    Arc::new(ColumnarScanExec::new(
-                        Arc::clone(&table),
-                        Some(predicate(rows)),
-                        Some(proj_cols.clone()),
-                    )) as Arc<dyn ExecPlan>
                 }
             }),
         ),
@@ -191,7 +174,7 @@ pub fn vectorized(opts: &Opts) {
     let agg_paths: Vec<(&str, Arc<dyn ExecPlan>)> = vec![
         (
             "agg_row",
-            Arc::new(ColumnarScanExec::new(Arc::clone(&table), None, None)) as Arc<dyn ExecPlan>,
+            Arc::new(ProviderScanExec::new(table.clone(), "bench")) as Arc<dyn ExecPlan>,
         ),
         (
             "agg_vec",
@@ -236,14 +219,11 @@ pub fn vectorized(opts: &Opts) {
 
     let ms_of = |name: &str| mean_ms.iter().find(|(l, _)| *l == name).unwrap().1;
     let fused_speedup = ms_of("row") / ms_of("fused");
-    let pushdown_speedup = ms_of("row") / ms_of("pushdown");
     let groupby_speedup = ms_of("agg_row") / ms_of("agg_vec");
     perf.extra("rows", rows as f64);
     perf.extra("fused_speedup_vs_row", fused_speedup);
-    perf.extra("pushdown_speedup_vs_row", pushdown_speedup);
     perf.extra("groupby_speedup", groupby_speedup);
     println!("fused pipeline speedup vs row plan: {fused_speedup:.2}x");
-    println!("pushdown scan speedup vs row plan:  {pushdown_speedup:.2}x");
     println!("vectorized group-by speedup:        {groupby_speedup:.2}x");
 
     write_csv(

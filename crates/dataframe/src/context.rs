@@ -155,11 +155,6 @@ pub trait TableProvider: Send + Sync + 'static {
     fn estimated_bytes(&self) -> usize;
     fn as_any(&self) -> &dyn Any;
 
-    /// Scan one partition with a pushed-down predicate and/or projection.
-    /// The default materializes and then filters/projects; providers that
-    /// can evaluate on their native representation (the Indexed Batch
-    /// RDD's binary rows) override this to skip materializing rejected
-    /// rows and unused columns.
     /// Expose partitions as shared columnar storage for the vectorized
     /// pipeline. Providers whose native layout is typed column vectors
     /// (the columnar cache, the indexed columnar table) return `Some`;
@@ -169,6 +164,11 @@ pub trait TableProvider: Send + Sync + 'static {
         None
     }
 
+    /// Scan one partition with a pushed-down predicate and/or projection.
+    /// The default materializes and then filters/projects; providers that
+    /// can evaluate on their native representation (the Indexed Batch
+    /// RDD's binary rows) override this to skip materializing rejected
+    /// rows and unused columns.
     fn scan_partition_pushdown(
         &self,
         partition: usize,

@@ -2,11 +2,13 @@
 //!
 //! Unresolved [`Expr`]s reference columns by name (what the SQL parser and
 //! the DataFrame API produce); binding against a schema yields a
-//! [`BoundExpr`] that evaluates positionally against either materialized
-//! rows or columnar partitions. Comparison and logical operators follow SQL
+//! [`BoundExpr`] that evaluates positionally against materialized rows,
+//! encoded rows or (through the batch kernels of [`crate::vector`])
+//! columnar partitions. Comparison and logical operators follow SQL
 //! three-valued logic (nulls propagate; filters keep only `TRUE`).
 
 use crate::column::ColumnarPartition;
+use crate::vector::{batch_kind, Kind};
 use rowstore::{Schema, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -131,7 +133,8 @@ impl Expr {
             }
             Expr::Not(e) => {
                 let e = e.fold();
-                if let Expr::Lit(v) = &e {
+                // A non-boolean literal stays unfolded, so binding rejects it.
+                if let Expr::Lit(v @ (Value::Bool(_) | Value::Null)) = &e {
                     return Expr::Lit(eval_not(v.clone()));
                 }
                 Expr::Not(Box::new(e))
@@ -271,7 +274,10 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Resolve `expr` against `schema`.
+    /// Resolve `expr` against `schema`. `NOT` over an operand that is
+    /// statically neither boolean nor null is rejected with
+    /// [`PlanError::Unsupported`], so every bound expression is covered by
+    /// the batch kernels and no evaluator meets a non-boolean `NOT`.
     pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr, PlanError> {
         Ok(match expr {
             Expr::Col(name) => BoundExpr::Col(
@@ -285,7 +291,15 @@ impl BoundExpr {
                 op: *op,
                 right: Box::new(BoundExpr::bind(right, schema)?),
             },
-            Expr::Not(e) => BoundExpr::Not(Box::new(BoundExpr::bind(e, schema)?)),
+            Expr::Not(e) => {
+                let operand = BoundExpr::bind(e, schema)?;
+                if !matches!(batch_kind(&operand, schema), Kind::Bool | Kind::Null) {
+                    return Err(PlanError::Unsupported(format!(
+                        "NOT applied to non-boolean operand {e}"
+                    )));
+                }
+                BoundExpr::Not(Box::new(operand))
+            }
             Expr::IsNull(e) => BoundExpr::IsNull(Box::new(BoundExpr::bind(e, schema)?)),
             Expr::IsNotNull(e) => BoundExpr::IsNotNull(Box::new(BoundExpr::bind(e, schema)?)),
         })
@@ -302,23 +316,6 @@ impl BoundExpr {
             BoundExpr::Not(e) => eval_not(e.eval_row(row)),
             BoundExpr::IsNull(e) => Value::Bool(e.eval_row(row).is_null()),
             BoundExpr::IsNotNull(e) => Value::Bool(!e.eval_row(row).is_null()),
-        }
-    }
-
-    /// Evaluate against row `i` of a columnar partition, touching only the
-    /// referenced columns (the columnar fast path).
-    pub fn eval_columnar(&self, part: &ColumnarPartition, i: usize) -> Value {
-        match self {
-            BoundExpr::Col(c) => part.column(*c).value(i),
-            BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Binary { left, op, right } => eval_binary(
-                left.eval_columnar(part, i),
-                *op,
-                right.eval_columnar(part, i),
-            ),
-            BoundExpr::Not(e) => eval_not(e.eval_columnar(part, i)),
-            BoundExpr::IsNull(e) => Value::Bool(e.eval_columnar(part, i).is_null()),
-            BoundExpr::IsNotNull(e) => Value::Bool(!e.eval_columnar(part, i).is_null()),
         }
     }
 
@@ -349,8 +346,7 @@ impl BoundExpr {
 
     /// Vectorized evaluation: one dense output slot per row selected by
     /// `sel`, computed by typed batch kernels instead of a per-row tree
-    /// walk. Semantics match `eval_row` exactly (see [`crate::vector`]);
-    /// callers must have checked [`BoundExpr::batch_compatible`].
+    /// walk. Semantics match `eval_row` exactly (see [`crate::vector`]).
     pub fn eval_batch(
         &self,
         part: &ColumnarPartition,
@@ -358,16 +354,10 @@ impl BoundExpr {
     ) -> crate::column::ColumnVec {
         crate::vector::eval_batch(self, part, sel)
     }
-
-    /// Whether the batch kernels cover this expression against `schema`.
-    /// When false, plan nodes keep the row-at-a-time path (today only
-    /// `NOT` over a statically non-boolean operand, which must keep the
-    /// row path's panic behaviour).
-    pub fn batch_compatible(&self, schema: &Schema) -> bool {
-        crate::vector::batch_kind(self, schema).is_some()
-    }
 }
 
+/// SQL `NOT`. Binding and folding never hand it a non-boolean value, so
+/// the panic arm marks a bug, not bad input.
 fn eval_not(v: Value) -> Value {
     match v {
         Value::Bool(b) => Value::Bool(!b),
@@ -546,7 +536,20 @@ mod tests {
     }
 
     #[test]
-    fn columnar_eval_matches_row_eval() {
+    fn not_binds_only_over_boolean_or_null_operands() {
+        let s = schema();
+        // `NOT 5` survives folding unfolded, so binding rejects it too.
+        for e in [col("a").not(), col("s").not(), lit(5i64).not().fold()] {
+            let err = BoundExpr::bind(&e, &s).unwrap_err();
+            assert!(matches!(err, PlanError::Unsupported(_)), "{e}: {err:?}");
+        }
+        // A statically null operand binds and yields NULL.
+        assert_eq!(eval(col("a").add(col("s")).not()), Value::Null);
+        assert_eq!(eval(col("c").is_null().not()), Value::Bool(false));
+    }
+
+    #[test]
+    fn batch_eval_matches_row_eval() {
         let s = schema();
         let rows: Vec<Vec<Value>> = (0..20)
             .map(|i| {
@@ -571,8 +574,9 @@ mod tests {
         ];
         for e in exprs {
             let b = BoundExpr::bind(&e, &s).unwrap();
+            let out = b.eval_batch(&part, &crate::vector::SelVec::identity(rows.len()));
             for (i, r) in rows.iter().enumerate() {
-                assert_eq!(b.eval_row(r), b.eval_columnar(&part, i), "expr {e} row {i}");
+                assert_eq!(b.eval_row(r), out.value(i), "expr {e} row {i}");
             }
         }
     }

@@ -352,7 +352,7 @@ mod tests {
     use crate::column::ColumnarTable;
     use crate::context::ExecConfig;
     use crate::physical::gather;
-    use crate::physical::scan::ColumnarScanExec;
+    use crate::physical::scan::ProviderScanExec;
     use rowstore::{DataType, Field, Value};
     use sparklet::{Cluster, ClusterConfig};
 
@@ -375,7 +375,7 @@ mod tests {
 
     fn scan(s: &Arc<Schema>, rows: Vec<Row>, parts: usize) -> Arc<dyn ExecPlan> {
         let t = Arc::new(ColumnarTable::from_rows(Arc::clone(s), rows, parts));
-        Arc::new(ColumnarScanExec::new(t, None, None))
+        Arc::new(ProviderScanExec::new(t, "t"))
     }
 
     /// Reference nested-loop inner join (left ++ right column order).

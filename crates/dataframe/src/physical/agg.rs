@@ -492,7 +492,7 @@ mod tests {
     use crate::column::ColumnarTable;
     use crate::physical::gather;
     use crate::physical::pipeline::{ColumnarPipelineExec, Projection};
-    use crate::physical::scan::ColumnarScanExec;
+    use crate::physical::scan::ProviderScanExec;
     use rowstore::{DataType, Field};
     use sparklet::{Cluster, ClusterConfig};
 
@@ -518,7 +518,7 @@ mod tests {
             .collect();
         let table = Arc::new(ColumnarTable::from_rows(Arc::clone(&schema), rows, 3));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan: Arc<dyn ExecPlan> = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan: Arc<dyn ExecPlan> = Arc::new(ProviderScanExec::new(table, "t"));
         (ctx, scan, schema)
     }
 
@@ -608,7 +608,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new("g", DataType::Int64)]);
         let table = Arc::new(ColumnarTable::from_rows(Arc::clone(&schema), Vec::new(), 2));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan: Arc<dyn ExecPlan> = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan: Arc<dyn ExecPlan> = Arc::new(ProviderScanExec::new(table, "t"));
         let agg = HashAggExec {
             input: scan,
             group_by: vec![0],

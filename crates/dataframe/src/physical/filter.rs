@@ -50,7 +50,7 @@ mod tests {
     use crate::column::ColumnarTable;
     use crate::expr::{col, lit};
     use crate::physical::gather;
-    use crate::physical::scan::ColumnarScanExec;
+    use crate::physical::scan::ProviderScanExec;
     use rowstore::{DataType, Field, Row, Value};
     use sparklet::{Cluster, ClusterConfig};
 
@@ -60,7 +60,7 @@ mod tests {
         let rows: Vec<Row> = (0..50).map(|i| vec![Value::Int64(i)]).collect();
         let table = Arc::new(ColumnarTable::from_rows(Arc::clone(&schema), rows, 3));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan = Arc::new(ProviderScanExec::new(table, "t"));
         let pred = BoundExpr::bind(&col("x").gt_eq(lit(40i64)), &schema).unwrap();
         let f = FilterExec {
             input: scan,

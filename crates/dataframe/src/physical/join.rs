@@ -339,7 +339,7 @@ mod tests {
     use crate::context::ExecConfig;
     use crate::physical::adaptive::AdaptiveJoinExec;
     use crate::physical::gather;
-    use crate::physical::scan::ColumnarScanExec;
+    use crate::physical::scan::ProviderScanExec;
     use rowstore::{DataType, Field};
     use sparklet::{Cluster, ClusterConfig};
 
@@ -403,8 +403,8 @@ mod tests {
         let lt = Arc::new(ColumnarTable::from_rows(left_schema(), left_rows(), 3));
         let rt = Arc::new(ColumnarTable::from_rows(right_schema(), right_rows(), 2));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let ls: Arc<dyn ExecPlan> = Arc::new(ColumnarScanExec::new(lt, None, None));
-        let rs: Arc<dyn ExecPlan> = Arc::new(ColumnarScanExec::new(rt, None, None));
+        let ls: Arc<dyn ExecPlan> = Arc::new(ProviderScanExec::new(lt, "l"));
+        let rs: Arc<dyn ExecPlan> = Arc::new(ProviderScanExec::new(rt, "r"));
         let out_schema = left_schema().join(&right_schema());
         (ctx, ls, rs, out_schema)
     }
@@ -534,8 +534,8 @@ mod tests {
         let rt = Arc::new(ColumnarTable::from_rows(right_schema(), rs_rows, 1));
         for sort_merge in [true, false] {
             let (ctx, j) = shuffled_join(
-                Arc::new(ColumnarScanExec::new(lt.clone(), None, None)),
-                Arc::new(ColumnarScanExec::new(rt.clone(), None, None)),
+                Arc::new(ProviderScanExec::new(lt.clone(), "l")),
+                Arc::new(ProviderScanExec::new(rt.clone(), "r")),
                 sort_merge,
             );
             assert_eq!(gather(j.execute(&ctx).unwrap()).len(), 6);
@@ -548,8 +548,8 @@ mod tests {
         let rt = Arc::new(ColumnarTable::from_rows(right_schema(), right_rows(), 2));
         for sort_merge in [false, true] {
             let (ctx, j) = shuffled_join(
-                Arc::new(ColumnarScanExec::new(lt.clone(), None, None)),
-                Arc::new(ColumnarScanExec::new(rt.clone(), None, None)),
+                Arc::new(ProviderScanExec::new(lt.clone(), "l")),
+                Arc::new(ProviderScanExec::new(rt.clone(), "r")),
                 sort_merge,
             );
             assert!(gather(j.execute(&ctx).unwrap()).is_empty());

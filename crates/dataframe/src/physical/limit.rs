@@ -50,7 +50,7 @@ mod tests {
     use super::*;
     use crate::column::ColumnarTable;
     use crate::physical::gather;
-    use crate::physical::scan::ColumnarScanExec;
+    use crate::physical::scan::ProviderScanExec;
     use rowstore::{DataType, Field, Row, Value};
     use sparklet::{Cluster, ClusterConfig};
 
@@ -59,7 +59,7 @@ mod tests {
         let rows: Vec<Row> = (0..30).map(|i| vec![Value::Int64(i)]).collect();
         let table = Arc::new(ColumnarTable::from_rows(schema, rows, 4));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan = Arc::new(ProviderScanExec::new(table, "t"));
         gather(LimitExec { input: scan, n }.execute(&ctx).unwrap()).len()
     }
 
@@ -81,7 +81,7 @@ mod tests {
         let rows: Vec<Row> = (0..30).map(|i| vec![Value::Int64(i)]).collect();
         let table = Arc::new(ColumnarTable::from_rows(schema, rows, 4));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan = Arc::new(ProviderScanExec::new(table, "t"));
         let parts = LimitExec { input: scan, n: 9 }.execute(&ctx).unwrap();
         assert_eq!(parts.len(), 2, "partitions after the limit are dropped");
         let counts: Vec<usize> = parts.iter().map(Vec::len).collect();

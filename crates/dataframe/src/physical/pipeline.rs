@@ -1,7 +1,7 @@
 //! The fused vectorized pipeline: scan→filter→project(→limit) in one
 //! operator over shared columnar storage.
 //!
-//! Instead of chaining ColumnarScan → Filter → Project operators (each
+//! Instead of chaining Scan → Filter → Project operators (each
 //! materializing a full `Vec<Vec<Row>>`), the pipeline evaluates the
 //! predicate into a [`SelVec`] with batch kernels, then gathers only the
 //! projected columns through it. Rows are materialized exactly once — at
@@ -10,8 +10,8 @@
 //! ([`ExecPlan::execute_columnar`], used by the vectorized aggregation).
 //!
 //! The planner emits this node for any fusible chain over a provider that
-//! advertises a [`ColumnarSource`]; expressions the kernels don't cover
-//! keep the row-at-a-time operators (counted under `operator.fallback`).
+//! advertises a [`ColumnarSource`]; row-layout providers keep the
+//! row-at-a-time operators (counted under `operator.fallback`).
 
 use crate::column::{ColumnVec, ColumnarPartition, ColumnarSource};
 use crate::context::Context;

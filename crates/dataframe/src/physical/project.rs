@@ -51,7 +51,7 @@ mod tests {
     use crate::column::ColumnarTable;
     use crate::expr::{col, lit};
     use crate::physical::gather;
-    use crate::physical::scan::ColumnarScanExec;
+    use crate::physical::scan::ProviderScanExec;
     use rowstore::{DataType, Field, Row, Value};
     use sparklet::{Cluster, ClusterConfig};
 
@@ -66,7 +66,7 @@ mod tests {
             .collect();
         let table = Arc::new(ColumnarTable::from_rows(Arc::clone(&schema), rows, 2));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan = Arc::new(ProviderScanExec::new(table, "t"));
         let exprs = vec![
             BoundExpr::bind(&col("a").add(col("b")), &schema).unwrap(),
             BoundExpr::bind(&lit(1i64), &schema).unwrap(),

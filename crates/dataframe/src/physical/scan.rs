@@ -1,12 +1,8 @@
-//! Table scans.
-//!
-//! Two flavors: the columnar fast path over the built-in cache (with
-//! predicate and projection pushdown — this is what makes Spark's columnar
-//! cache beat a row store on projections, Fig. 8), and a generic
-//! provider scan used for any other [`TableProvider`] (the row fallback
-//! path of Fig. 2).
+//! The row scan: a generic provider scan used for any [`TableProvider`]
+//! without columnar partitions (the row fallback path of Fig. 2). Columnar
+//! providers are scanned by the vectorized
+//! [`ColumnarPipelineExec`](crate::physical::pipeline::ColumnarPipelineExec).
 
-use crate::column::ColumnarTable;
 use crate::context::{Context, TableProvider};
 use crate::expr::BoundExpr;
 use crate::physical::{
@@ -14,82 +10,6 @@ use crate::physical::{
 };
 use rowstore::Schema;
 use std::sync::Arc;
-
-/// Scan of the built-in columnar cache with optional pushed-down predicate
-/// and projection.
-pub struct ColumnarScanExec {
-    pub table: Arc<ColumnarTable>,
-    pub predicate: Option<BoundExpr>,
-    pub projection: Option<Vec<usize>>,
-    out_schema: Arc<Schema>,
-}
-
-impl ColumnarScanExec {
-    pub fn new(
-        table: Arc<ColumnarTable>,
-        predicate: Option<BoundExpr>,
-        projection: Option<Vec<usize>>,
-    ) -> ColumnarScanExec {
-        let out_schema = match &projection {
-            Some(cols) => table.schema.project(cols),
-            None => Arc::clone(&table.schema),
-        };
-        ColumnarScanExec {
-            table,
-            predicate,
-            projection,
-            out_schema,
-        }
-    }
-}
-
-impl ExecPlan for ColumnarScanExec {
-    fn schema(&self) -> Arc<Schema> {
-        Arc::clone(&self.out_schema)
-    }
-
-    fn execute(&self, ctx: &Arc<Context>) -> Result<Partitions, ExecError> {
-        let table = Arc::clone(&self.table);
-        let rows_in = table.num_rows() as u64;
-        let predicate = self.predicate.clone();
-        let projection = self.projection.clone();
-        // Row-at-a-time per-row expression walk: the planner only picks
-        // this exec when the batch kernels don't cover the predicate.
-        count_path(ctx, false);
-        observe_operator(ctx, "scan", rows_in, || {
-            Ok(ctx
-                .cluster()
-                .run_stage_partitions(table.num_partitions(), move |tc| {
-                    let part = &table.partitions[tc.partition];
-                    let n = part.num_rows();
-                    let mut out = Vec::new();
-                    for i in 0..n {
-                        if let Some(pred) = &predicate {
-                            if !BoundExpr::is_true(&pred.eval_columnar(part, i)) {
-                                continue;
-                            }
-                        }
-                        match &projection {
-                            Some(cols) => out.push(part.row_projected(i, cols)),
-                            None => out.push(part.row(i)),
-                        }
-                    }
-                    out
-                })?)
-        })
-    }
-
-    fn describe(&self, indent: usize) -> String {
-        let mut line = format!("ColumnarScan [{} partitions]", self.table.num_partitions());
-        if self.predicate.is_some() {
-            line.push_str(" +filter");
-        }
-        if let Some(p) = &self.projection {
-            line.push_str(&format!(" +project({} cols)", p.len()));
-        }
-        describe_node(indent, &line, &[])
-    }
-}
 
 /// Generic scan over any table provider, with predicate/projection
 /// pushdown delegated to the provider (which may still have to touch whole
@@ -171,11 +91,12 @@ impl ExecPlan for ProviderScanExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnarTable;
     use crate::expr::{col, lit};
     use rowstore::{DataType, Field, Row, Value};
     use sparklet::{Cluster, ClusterConfig};
 
-    fn setup() -> (Arc<Context>, Arc<ColumnarTable>) {
+    fn setup() -> (Arc<Context>, Arc<dyn TableProvider>) {
         let schema = Schema::new(vec![
             Field::new("id", DataType::Int64),
             Field::new("name", DataType::Utf8),
@@ -191,17 +112,19 @@ mod tests {
     #[test]
     fn plain_scan_returns_everything() {
         let (ctx, table) = setup();
-        let scan = ColumnarScanExec::new(table, None, None);
+        let scan = ProviderScanExec::new(table, "t");
         let parts = scan.execute(&ctx).unwrap();
         assert_eq!(parts.len(), 4);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 100);
+        let rows = crate::physical::gather(parts);
+        assert_eq!(rows.len(), 100);
+        assert_eq!(rows[5].len(), 2);
     }
 
     #[test]
     fn pushed_down_filter() {
         let (ctx, table) = setup();
-        let pred = BoundExpr::bind(&col("id").lt(lit(10i64)), &table.schema).unwrap();
-        let scan = ColumnarScanExec::new(table, Some(pred), None);
+        let pred = BoundExpr::bind(&col("id").lt(lit(10i64)), &table.schema()).unwrap();
+        let scan = ProviderScanExec::with_pushdown(table, "t", Some(pred), None);
         let rows = crate::physical::gather(scan.execute(&ctx).unwrap());
         assert_eq!(rows.len(), 10);
     }
@@ -209,19 +132,10 @@ mod tests {
     #[test]
     fn pushed_down_projection() {
         let (ctx, table) = setup();
-        let scan = ColumnarScanExec::new(table, None, Some(vec![1]));
+        let scan = ProviderScanExec::with_pushdown(table, "t", None, Some(vec![1]));
         assert_eq!(scan.schema().arity(), 1);
         let rows = crate::physical::gather(scan.execute(&ctx).unwrap());
         assert_eq!(rows.len(), 100);
         assert_eq!(rows[0].len(), 1);
-    }
-
-    #[test]
-    fn provider_scan_equivalent() {
-        let (ctx, table) = setup();
-        let scan = ProviderScanExec::new(table.clone() as Arc<dyn TableProvider>, "t");
-        let rows = crate::physical::gather(scan.execute(&ctx).unwrap());
-        assert_eq!(rows.len(), 100);
-        assert_eq!(rows[5].len(), 2);
     }
 }

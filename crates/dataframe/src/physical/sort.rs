@@ -130,7 +130,7 @@ mod tests {
     use super::*;
     use crate::column::ColumnarTable;
     use crate::physical::gather;
-    use crate::physical::scan::ColumnarScanExec;
+    use crate::physical::scan::ProviderScanExec;
     use rowstore::{DataType, Field, Row};
     use sparklet::{Cluster, ClusterConfig};
 
@@ -141,7 +141,7 @@ mod tests {
         ]);
         let table = Arc::new(ColumnarTable::from_rows(schema, rows, 3));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan = Arc::new(ProviderScanExec::new(table, "t"));
         gather(SortExec { input: scan, keys }.execute(&ctx).unwrap())
     }
 
@@ -207,7 +207,7 @@ mod tests {
             .collect();
         let table = Arc::new(ColumnarTable::from_partitions(Arc::clone(&schema), parts));
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));
-        let scan = Arc::new(ColumnarScanExec::new(table, None, None));
+        let scan = Arc::new(ProviderScanExec::new(table, "t"));
         let sorted = gather(
             SortExec {
                 input: scan,

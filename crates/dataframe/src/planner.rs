@@ -8,7 +8,6 @@
 //! the way Spark does: broadcast-hash below the size threshold, otherwise
 //! a shuffled join that re-decides its strategy at runtime.
 
-use crate::column::ColumnarTable;
 use crate::context::{Context, StatsTarget};
 use crate::expr::{BoundExpr, Expr, PlanError};
 use crate::physical::adaptive::AdaptiveJoinExec;
@@ -18,7 +17,7 @@ use crate::physical::join::BroadcastHashJoinExec;
 use crate::physical::limit::LimitExec;
 use crate::physical::pipeline::{ColumnarPipelineExec, Projection};
 use crate::physical::project::ProjectExec;
-use crate::physical::scan::{ColumnarScanExec, ProviderScanExec};
+use crate::physical::scan::ProviderScanExec;
 use crate::physical::ExecPlan;
 use crate::plan::LogicalPlan;
 use std::sync::Arc;
@@ -109,8 +108,7 @@ impl Planner {
                 }
                 // Computed projection. Extension rules get the child shape
                 // first; failing that, fuse the whole scan→filter→project
-                // chain into a vectorized pipeline when the batch kernels
-                // cover every expression.
+                // chain into a vectorized pipeline over columnar partitions.
                 let mut rule_child: Option<Arc<dyn ExecPlan>> = None;
                 for rule in ctx.rules() {
                     if let Some(result) = rule.plan(input, ctx, self) {
@@ -231,31 +229,17 @@ impl Planner {
         let schema = provider.schema();
         let predicate = predicate.map(|p| BoundExpr::bind(p, &schema)).transpose()?;
         // Vectorized pipeline whenever the provider exposes columnar
-        // partitions and the batch kernels cover the predicate.
+        // partitions.
         if let Some(source) = provider.columnar_source() {
-            if predicate
-                .as_ref()
-                .is_none_or(|p| p.batch_compatible(&schema))
-            {
-                let (projection, out_schema) = match projection {
-                    Some(idx) => {
-                        let out = schema.project(&idx);
-                        (Projection::Columns(idx), out)
-                    }
-                    None => (Projection::All, Arc::clone(&schema)),
-                };
-                return Ok(Arc::new(ColumnarPipelineExec::new(
-                    source, table, predicate, projection, out_schema,
-                )));
-            }
-        }
-        // Kernel-incompatible predicate over the built-in cache: row-at-a-
-        // time columnar scan.
-        if let Some(columnar) = provider.as_any().downcast_ref::<ColumnarTable>() {
-            return Ok(Arc::new(ColumnarScanExec::new(
-                Arc::new(columnar.clone()),
-                predicate,
-                projection,
+            let (projection, out_schema) = match projection {
+                Some(idx) => {
+                    let out = schema.project(&idx);
+                    (Projection::Columns(idx), out)
+                }
+                None => (Projection::All, Arc::clone(&schema)),
+            };
+            return Ok(Arc::new(ColumnarPipelineExec::new(
+                source, table, predicate, projection, out_schema,
             )));
         }
         // Generic provider: row scan with pushdown delegated to the
@@ -267,8 +251,7 @@ impl Planner {
 
     /// Try to fuse a computed projection (with optional filter underneath)
     /// over a base scan into one vectorized pipeline. `None` when the plan
-    /// shape doesn't match, the provider has no columnar partitions, or
-    /// the batch kernels don't cover some expression.
+    /// shape doesn't match or the provider has no columnar partitions.
     fn fuse_computed_projection(
         &self,
         plan: &LogicalPlan,
@@ -292,19 +275,10 @@ impl Planner {
             return Ok(None);
         };
         let predicate = predicate.map(|p| BoundExpr::bind(p, schema)).transpose()?;
-        if predicate
-            .as_ref()
-            .is_some_and(|p| !p.batch_compatible(schema))
-        {
-            return Ok(None);
-        }
         let bound = exprs
             .iter()
             .map(|(e, _)| BoundExpr::bind(e, schema))
             .collect::<Result<Vec<_>, _>>()?;
-        if !bound.iter().all(|b| b.batch_compatible(schema)) {
-            return Ok(None);
-        }
         Ok(Some(Arc::new(ColumnarPipelineExec::new(
             source,
             table,
@@ -445,6 +419,7 @@ pub fn estimate_bytes(plan: &LogicalPlan, ctx: &Arc<Context>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnarTable;
     use crate::context::ExecConfig;
     use crate::expr::{col, lit};
     use rowstore::{DataType, Field, Row, Schema, Value};
@@ -681,21 +656,25 @@ mod tests {
     }
 
     #[test]
-    fn kernel_incompatible_predicate_falls_back_to_row_scan() {
-        // NOT over a non-boolean column has no batch kernel (the row path
-        // defines its panic semantics), so the planner must keep the
-        // row-at-a-time columnar scan.
+    fn not_over_non_boolean_is_rejected_at_plan_time() {
+        // NOT over a non-boolean column is a type error: planning fails
+        // before any stage runs, for a filter and a computed projection.
         let ctx = ctx_with_tables(1 << 20);
-        let plan = LogicalPlan::Filter {
+        let filter = LogicalPlan::Filter {
             input: Box::new(scan(&ctx, "big")),
             predicate: col("k").not(),
         };
-        let phys = Planner::new().plan(&plan, &ctx).unwrap();
-        let desc = phys.describe(0);
-        assert!(
-            desc.contains("ColumnarScan") && !desc.contains("ColumnarPipeline"),
-            "{desc}"
-        );
+        let project = LogicalPlan::Project {
+            input: Box::new(scan(&ctx, "big")),
+            exprs: vec![(col("k").not(), "nk".into())],
+        };
+        for plan in [filter, project] {
+            match Planner::new().plan(&plan, &ctx) {
+                Err(PlanError::Unsupported(_)) => {}
+                Err(e) => panic!("expected Unsupported, got {e:?}"),
+                Ok(p) => panic!("expected Unsupported, got plan {}", p.describe(0)),
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! division-by-zero follow `eval_binary`/`eval_not` exactly — the proptest
 //! equivalence suite (`tests/vectorized_equivalence.rs`) pins this.
 //!
-//! Dispatch is static: [`batch_kind`] types the tree bottom-up from column
+//! Dispatch is static: `batch_kind` types the tree bottom-up from column
 //! dtypes and literal values, choosing one kernel lane (i64 / f64 / str /
-//! bool / all-null) per node. Expressions the kernels do not cover —
-//! today only `NOT` over a statically non-boolean operand, whose row-path
-//! behaviour is a panic we must preserve — report `None`, and plan nodes
-//! keep the row-at-a-time fallback.
+//! bool / all-null) per node. The kernels cover every bound expression:
+//! the one shape they could not evaluate, `NOT` over a statically
+//! non-boolean operand, is rejected by `BoundExpr::bind` with the same
+//! typing.
 
 use crate::column::{ColumnVec, ColumnarPartition};
 use crate::expr::{BinOp, BoundExpr};
@@ -92,7 +92,7 @@ impl SelVec {
 /// widths (the row path compares and adds them as i64); `Null` marks a
 /// node that is null for every row (e.g. arithmetic over a string).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
+pub(crate) enum Kind {
     Int,
     Float,
     Bool,
@@ -138,39 +138,28 @@ fn arith_kind(lk: Kind, rk: Kind) -> Kind {
     }
 }
 
-/// Statically type `expr` against `schema`, returning `None` when the
-/// batch kernels do not cover it. The only uncovered shape is `NOT` over
-/// an operand that is neither boolean nor statically null: `eval_not`
-/// panics there, and the fallback row path must keep doing so.
-pub fn batch_kind(expr: &BoundExpr, schema: &Schema) -> Option<Kind> {
-    Some(match expr {
+/// Statically type `expr` against `schema`. `NOT` takes its operand's
+/// lane, which binding has already checked is boolean or null.
+pub(crate) fn batch_kind(expr: &BoundExpr, schema: &Schema) -> Kind {
+    match expr {
         BoundExpr::Col(i) => Kind::of_dtype(schema.field(*i).dtype),
         BoundExpr::Lit(v) => Kind::of_value(v),
-        BoundExpr::Binary { left, op, right } => {
-            let lk = batch_kind(left, schema)?;
-            let rk = batch_kind(right, schema)?;
-            match op {
-                BinOp::And
-                | BinOp::Or
-                | BinOp::Eq
-                | BinOp::NotEq
-                | BinOp::Lt
-                | BinOp::LtEq
-                | BinOp::Gt
-                | BinOp::GtEq => Kind::Bool,
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith_kind(lk, rk),
+        BoundExpr::Binary { left, op, right } => match op {
+            BinOp::And
+            | BinOp::Or
+            | BinOp::Eq
+            | BinOp::NotEq
+            | BinOp::Lt
+            | BinOp::LtEq
+            | BinOp::Gt
+            | BinOp::GtEq => Kind::Bool,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+                arith_kind(batch_kind(left, schema), batch_kind(right, schema))
             }
-        }
-        BoundExpr::Not(e) => match batch_kind(e, schema)? {
-            Kind::Bool => Kind::Bool,
-            Kind::Null => Kind::Null,
-            _ => return None,
         },
-        BoundExpr::IsNull(e) | BoundExpr::IsNotNull(e) => {
-            batch_kind(e, schema)?;
-            Kind::Bool
-        }
-    })
+        BoundExpr::Not(e) => batch_kind(e, schema),
+        BoundExpr::IsNull(_) | BoundExpr::IsNotNull(_) => Kind::Bool,
+    }
 }
 
 /// An intermediate batch value: either a borrowed source column (indexed
@@ -505,7 +494,7 @@ fn eval_rec<'a>(
                     (Batch::Owned(ColumnVec::Bool { values, nulls }), Kind::Bool)
                 }
                 Kind::Null => (Batch::Owned(all_null(DataType::Bool, n)), Kind::Null),
-                other => panic!("NOT applied to non-boolean {other:?} batch"),
+                other => unreachable!("bind rejects NOT over a {other:?} operand"),
             }
         }
         BoundExpr::IsNull(e) | BoundExpr::IsNotNull(e) => {
@@ -528,9 +517,7 @@ fn eval_rec<'a>(
 }
 
 /// Evaluate `expr` over the rows of `part` selected by `sel`, returning a
-/// dense column with one slot per selected row. Callers must have checked
-/// [`batch_kind`] is `Some` (the planner does; fused pipelines never reach
-/// here otherwise).
+/// dense column with one slot per selected row.
 pub fn eval_batch(expr: &BoundExpr, part: &ColumnarPartition, sel: &SelVec) -> ColumnVec {
     let (b, k) = eval_rec(expr, part, sel);
     match b {
@@ -565,7 +552,7 @@ pub fn filter_into_sel(pred: &BoundExpr, part: &ColumnarPartition, sel: &mut Sel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit, Expr};
+    use crate::expr::{col, lit, Expr, PlanError};
     use rowstore::Field;
     use std::sync::Arc;
 
@@ -606,7 +593,6 @@ mod tests {
         let rows = rows();
         let part = ColumnarPartition::from_rows(&s, &rows);
         let b = BoundExpr::bind(&e, &s).unwrap();
-        assert!(b.batch_compatible(&s), "{e} should be kernel-covered");
         // Full selection.
         let sel = SelVec::identity(rows.len());
         let out = b.eval_batch(&part, &sel);
@@ -684,15 +670,15 @@ mod tests {
     }
 
     #[test]
-    fn not_over_non_bool_is_not_covered() {
+    fn not_over_non_bool_is_rejected_at_bind() {
         let s = schema();
-        let b = BoundExpr::bind(&col("a").not(), &s).unwrap();
-        assert!(!b.batch_compatible(&s), "NOT int must keep the row path");
-        let b = BoundExpr::bind(&col("a").add(col("s")).not(), &s).unwrap();
-        assert!(
-            b.batch_compatible(&s),
-            "NOT over a statically-null operand never panics"
-        );
+        for e in [col("a").not(), col("s").not(), col("a").add(col("c")).not()] {
+            let err = BoundExpr::bind(&e, &s).unwrap_err();
+            assert!(matches!(err, PlanError::Unsupported(_)), "{e}: {err:?}");
+        }
+        // A statically null operand never panics: it binds and the
+        // kernels yield NULL for every row.
+        check(col("a").add(col("s")).not());
     }
 
     #[test]

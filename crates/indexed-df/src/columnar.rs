@@ -11,7 +11,7 @@
 //! user needs to support").
 
 use crate::table::{IndexedTable, PartitionHandle};
-use dataframe::{BoundExpr, ColumnarPartition, ColumnarSource, Context, KeyWrap, TableProvider};
+use dataframe::{ColumnarPartition, ColumnarSource, Context, KeyWrap, TableProvider};
 use rowstore::{Row, Schema, Value};
 use sparklet::partition_of;
 use std::any::Any;
@@ -254,32 +254,6 @@ impl TableProvider for ColumnarIndexedTable {
     /// the batch kernels on the shared partitions.
     fn columnar_source(&self) -> Option<Arc<dyn ColumnarSource>> {
         Some(Arc::new(self.clone()))
-    }
-
-    /// Columnar pushdown: evaluate the predicate on column vectors and
-    /// materialize only projected columns of surviving rows — the whole
-    /// point of this layout.
-    fn scan_partition_pushdown(
-        &self,
-        partition: usize,
-        predicate: Option<&BoundExpr>,
-        projection: Option<&[usize]>,
-    ) -> Vec<Row> {
-        let p = &self.partitions[partition];
-        let n = p.columns.num_rows();
-        let mut out = Vec::new();
-        for i in 0..n {
-            if let Some(pred) = predicate {
-                if !BoundExpr::is_true(&pred.eval_columnar(&p.columns, i)) {
-                    continue;
-                }
-            }
-            out.push(match projection {
-                Some(cols) => p.columns.row_projected(i, cols),
-                None => p.columns.row(i),
-            });
-        }
-        out
     }
 }
 

@@ -45,9 +45,6 @@ pub(crate) struct IdfInner {
     /// Version number (§III-D), bumped on every append.
     pub(crate) version: u64,
     pub(crate) provenance: Provenance,
-    /// Whether partition builds take the grouped bulk path (the default)
-    /// or the retained row-at-a-time baseline (benchmarks).
-    pub(crate) use_bulk: bool,
     /// This version's delta (base rows or appended rows), drained **once**
     /// into per-partition buckets on first use. Every partition build —
     /// lazy lookup, full materialize, post-failure recompute — draws from
@@ -218,18 +215,14 @@ impl IdfInner {
     }
 
     /// Insert this version's delta rows into a partition through the
-    /// grouped bulk path (default) or the retained row-at-a-time baseline,
-    /// recording `index.build_ns` / `index.bulk_rows` / `index.upserts`.
+    /// grouped bulk path, recording `index.build_ns` / `index.bulk_rows` /
+    /// `index.upserts`.
     fn insert_delta(&self, part: &mut IndexedPartition, rows: &[Row]) {
         let registry = self.ctx.cluster().registry();
         let start = std::time::Instant::now();
-        if self.use_bulk {
-            let stats = part.bulk_insert(rows).expect("delta rows insert");
-            registry.counter("index.bulk_rows").add(stats.rows);
-            registry.counter("index.upserts").add(stats.distinct_keys);
-        } else {
-            part.insert_rows(rows).expect("delta rows insert");
-        }
+        let stats = part.bulk_insert(rows).expect("delta rows insert");
+        registry.counter("index.bulk_rows").add(stats.rows);
+        registry.counter("index.upserts").add(stats.distinct_keys);
         registry
             .counter("index.build_ns")
             .add(start.elapsed().as_nanos() as u64);
@@ -539,7 +532,6 @@ impl IndexedDataFrame {
             num_partitions: None,
             store_config: StoreConfig::default(),
             source: None,
-            use_bulk: true,
         })
     }
 
@@ -667,7 +659,6 @@ impl IndexedDataFrame {
                     parent: Arc::clone(&self.inner),
                     rows: Arc::new(rows),
                 },
-                use_bulk: self.inner.use_bulk,
                 buckets: parking_lot::Mutex::new(None),
                 build_lock: parking_lot::Mutex::new(()),
             }),
@@ -777,7 +768,6 @@ pub struct IdfBuilder {
     num_partitions: Option<usize>,
     store_config: StoreConfig,
     source: Option<Arc<dyn ReplayableSource>>,
-    use_bulk: bool,
 }
 
 impl IdfBuilder {
@@ -804,14 +794,6 @@ impl IdfBuilder {
         self
     }
 
-    /// Build partitions row-at-a-time instead of with the grouped bulk
-    /// loader. This is the correctness/perf baseline the bulk path is
-    /// benchmarked against; appends inherit the setting.
-    pub fn row_at_a_time(mut self) -> IdfBuilder {
-        self.use_bulk = false;
-        self
-    }
-
     pub fn build(self) -> Result<IndexedDataFrame, PlanError> {
         let source = self
             .source
@@ -831,7 +813,6 @@ impl IdfBuilder {
                 dataset_id,
                 version: 1,
                 provenance: Provenance::Base { source },
-                use_bulk: self.use_bulk,
                 buckets: parking_lot::Mutex::new(None),
                 build_lock: parking_lot::Mutex::new(()),
             }),
@@ -840,8 +821,10 @@ impl IdfBuilder {
     }
 }
 
-/// Force all partition builds to count as recompute (used by the
-/// fault-tolerance figure to separate recovery time).
+/// Read the cluster's `recompute_ns` counter: nanoseconds spent rebuilding
+/// indexed partitions missing from the cache (lost, evicted or never
+/// built), from a spill image or from lineage. The fault-tolerance figure
+/// uses it to separate recovery time.
 pub fn recompute_ns(ctx: &Arc<Context>) -> u64 {
     ctx.cluster().metrics().recompute_ns.load(Relaxed)
 }

@@ -386,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_insert_matches_row_at_a_time() {
+    fn bulk_insert_matches_insert_rows() {
         let mut by_row = part();
         let mut by_bulk = part();
         let rows: Vec<Row> = (0..200).map(|i| row(i % 7, &format!("v{i}"))).collect();
@@ -419,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_insert_null_keys_match_row_at_a_time() {
+    fn bulk_insert_null_keys_match_insert_rows() {
         // SQL NULL never equals NULL: every NULL-keyed row is its own
         // trie entry and a lookup for NULL finds nothing. The bulk path
         // must reproduce insert_row's behavior exactly (regression: the

@@ -1,11 +1,11 @@
 //! Fast-path index construction tests: the base source must be replayed
 //! exactly once per build (single-replay shuffle / bucket cache), and the
-//! grouped bulk loader must agree with the row-at-a-time baseline.
+//! grouped bulk build must agree with row-by-row `insert_row` calls.
 
 use dataframe::Context;
-use indexed_df::{IndexedDataFrame, ReplayableSource};
-use rowstore::{DataType, Field, Row, Schema, Value};
-use sparklet::{Cluster, ClusterConfig};
+use indexed_df::{IndexedDataFrame, IndexedPartition, ReplayableSource};
+use rowstore::{DataType, Field, Row, Schema, StoreConfig, Value};
+use sparklet::{partition_of, Cluster, ClusterConfig};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -126,39 +126,44 @@ fn recovery_after_worker_failure_does_not_replay_again() {
 }
 
 #[test]
-fn bulk_and_row_at_a_time_builds_agree() {
-    let ctx_bulk = ctx();
-    let ctx_row = ctx();
+fn frame_build_matches_per_partition_insert_row_oracle() {
+    let ctx = ctx();
     let rows = edges(2000, 37);
-    let bulk = IndexedDataFrame::from_rows(&ctx_bulk, edge_schema(), rows.clone(), "src").unwrap();
-    let row = IndexedDataFrame::builder(&ctx_row, edge_schema(), "src")
-        .unwrap()
-        .rows(rows)
-        .row_at_a_time()
-        .build()
-        .unwrap();
-    bulk.cache_index().unwrap();
-    row.cache_index().unwrap();
+    let idf = IndexedDataFrame::from_rows(&ctx, edge_schema(), rows.clone(), "src").unwrap();
+    idf.cache_index().unwrap();
+    // Oracle: route each row to its hash partition and insert it there
+    // one row at a time.
+    let parts = idf.num_partitions();
+    let mut oracle: Vec<IndexedPartition> = (0..parts)
+        .map(|_| IndexedPartition::new(edge_schema(), 0, StoreConfig::default()))
+        .collect();
+    for r in &rows {
+        oracle[partition_of(r[0].key_hash(), parts)]
+            .insert_row(r)
+            .unwrap();
+    }
+    for (p, want) in oracle.iter().enumerate() {
+        let got = idf.partition(p);
+        assert_eq!(got.row_count(), want.row_count(), "partition {p} rows");
+        assert_eq!(got.key_count(), want.key_count(), "partition {p} keys");
+    }
     for k in 0..40 {
         let key = Value::Int64(k);
+        let got = idf.get_rows(&key).unwrap();
         assert_eq!(
-            bulk.get_rows(&key).unwrap(),
-            row.get_rows(&key).unwrap(),
+            got,
+            oracle[partition_of(key.key_hash(), parts)].lookup(&key),
             "chains must match (newest-first) for key {k}"
         );
+        if let Some(newest) = rows.iter().rev().find(|r| r[0] == key) {
+            assert_eq!(&got[0], newest, "newest row leads the chain for key {k}");
+        }
     }
-    // The bulk path must have recorded its counters; the baseline must not.
-    let reg = ctx_bulk.cluster().registry();
+    // The build took the bulk path: one upsert per distinct key.
+    let reg = ctx.cluster().registry();
     assert_eq!(reg.counter_value("index.bulk_rows"), 2000);
     assert_eq!(reg.counter_value("index.upserts"), 37);
     assert!(reg.counter_value("index.build_ns") > 0);
-    assert_eq!(
-        ctx_row
-            .cluster()
-            .registry()
-            .counter_value("index.bulk_rows"),
-        0
-    );
 }
 
 #[test]

@@ -70,7 +70,7 @@ proptest! {
     /// One-shot build: bulk_insert over the whole batch must equal a
     /// row-by-row insert_row build on every observable axis.
     #[test]
-    fn bulk_insert_equals_row_at_a_time(
+    fn bulk_insert_equals_insert_row(
         kind in any::<u8>(),
         skew in any::<u8>(),
         raws in proptest::collection::vec(any::<u64>(), 1..300),
@@ -105,7 +105,7 @@ proptest! {
     /// must equal the same rows inserted one at a time — chains must splice
     /// onto existing heads exactly like insert_row does.
     #[test]
-    fn chained_bulk_batches_equal_row_at_a_time(
+    fn chained_bulk_batches_equal_insert_row(
         kind in any::<u8>(),
         skew in any::<u8>(),
         raws in proptest::collection::vec(any::<u64>(), 2..200),

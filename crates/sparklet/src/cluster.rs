@@ -16,7 +16,7 @@
 //! partitions).
 
 use crate::config::ClusterConfig;
-use crate::memory::{BlockCharge, EvictionPolicy, MemoryGovernor};
+use crate::memory::{BlockCharge, MemoryGovernor};
 use crate::metrics::{Metrics, Registry, SpanKind, SpanRecord, Trace};
 use crate::scheduler::{self, QueryId, QueryRef, Scheduler};
 use parking_lot::Mutex;
@@ -464,14 +464,10 @@ impl Cluster {
 
     /// Set the cluster-wide cache byte budget (0 = ungoverned). If the
     /// resident set already exceeds the new budget, victims are evicted
-    /// (and spilled, under [`EvictionPolicy::CostSpill`]) immediately.
+    /// (and spilled) immediately.
     pub fn set_memory_budget(&self, bytes: u64) {
         let victims = self.memory.set_budget(bytes);
         self.apply_victims(victims);
-    }
-
-    pub fn set_memory_policy(&self, policy: EvictionPolicy) {
-        self.memory.set_policy(policy);
     }
 
     /// Governed block insert: the accountant admits (possibly evicting

@@ -45,7 +45,7 @@ pub use cluster::{
     TaskSpec,
 };
 pub use config::ClusterConfig;
-pub use memory::{BlockCharge, EvictionPolicy, MemoryGovernor, SpillFn};
+pub use memory::{BlockCharge, MemoryGovernor, SpillFn};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, Registry,
     RegistrySnapshot, SpanKind, SpanRecord, Trace,

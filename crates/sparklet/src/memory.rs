@@ -18,11 +18,11 @@
 //!   is rejected outright (`memory.admit_rejects`). Reuse history survives
 //!   eviction, so a hot block that was evicted re-enters with its earned
 //!   score.
-//! * **Spill.** Under [`EvictionPolicy::CostSpill`], a victim with a spill
-//!   closure is serialized (BlockWriter wire format), compressed
-//!   ([`rowstore::spill`]) and persisted; a later rebuild drains the image
-//!   back ([`MemoryGovernor::prepare_rebuild`]) instead of recomputing
-//!   from lineage. A lost/corrupt image is detected by checksum and falls
+//! * **Spill.** A victim with a spill closure is serialized (BlockWriter
+//!   wire format), compressed ([`rowstore::spill`]) and persisted; a
+//!   later rebuild drains the image back
+//!   ([`MemoryGovernor::prepare_rebuild`]) instead of recomputing from
+//!   lineage. A lost/corrupt image is detected by checksum and falls
 //!   back to lineage recompute — the PR-1 retry machinery already covers
 //!   re-execution.
 //! * **Version retirement.** Dataset versions register a lease; when the
@@ -64,17 +64,6 @@ pub struct BlockCharge {
     pub spill: Option<SpillFn>,
 }
 
-/// What to do when the budget forces an eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict by ascending retention score, spilling victims to disk.
-    /// The governed default.
-    CostSpill,
-    /// Evict in insertion order and drop outright — the thrash-prone
-    /// "no governance" baseline the memory bench compares against.
-    FifoDrop,
-}
-
 struct Entry {
     worker: usize,
     bytes: u64,
@@ -83,8 +72,6 @@ struct Entry {
     /// eviction via `History`).
     uses: u64,
     last_use: u64,
-    /// Insertion sequence, the FIFO eviction key.
-    seq: u64,
     spill: Option<SpillFn>,
 }
 
@@ -114,7 +101,6 @@ struct GovState {
     history: HashMap<BlockId, History>,
     resident: u64,
     clock: u64,
-    seq: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +184,6 @@ static NEXT_GOVERNOR_ID: AtomicU64 = AtomicU64::new(1);
 pub struct MemoryGovernor {
     /// 0 = ungoverned: accounting runs, enforcement is off.
     budget: AtomicU64,
-    policy: Mutex<EvictionPolicy>,
     state: Mutex<GovState>,
     versions: Mutex<HashMap<u64, VersionState>>,
     broadcasts: Mutex<BroadcastLedger>,
@@ -211,7 +196,6 @@ impl MemoryGovernor {
     pub(crate) fn new(registry: &Registry) -> MemoryGovernor {
         MemoryGovernor {
             budget: AtomicU64::new(0),
-            policy: Mutex::new(EvictionPolicy::CostSpill),
             state: Mutex::new(GovState::default()),
             versions: Mutex::new(HashMap::new()),
             broadcasts: Mutex::new(BroadcastLedger::default()),
@@ -240,14 +224,6 @@ impl MemoryGovernor {
         self.state.lock().spilled.len()
     }
 
-    pub fn policy(&self) -> EvictionPolicy {
-        *self.policy.lock()
-    }
-
-    pub(crate) fn set_policy(&self, policy: EvictionPolicy) {
-        *self.policy.lock() = policy;
-    }
-
     /// Set the budget; returns victims to evict immediately if the new
     /// budget is already exceeded.
     pub(crate) fn set_budget(&self, bytes: u64) -> Vec<Victim> {
@@ -256,9 +232,8 @@ impl MemoryGovernor {
         if bytes == 0 {
             return Vec::new();
         }
-        let policy = self.policy();
         let mut st = self.state.lock();
-        let victims = self.evict_down_to(&mut st, bytes, policy, None);
+        let victims = self.evict_down_to(&mut st, bytes, None);
         self.publish_resident(&st);
         victims
     }
@@ -290,7 +265,6 @@ impl MemoryGovernor {
         charge: BlockCharge,
     ) -> (bool, Vec<Victim>) {
         let budget = self.budget();
-        let policy = self.policy();
         let mut st = self.state.lock();
         // Re-put of a resident block (e.g. rebuilt on a new home after a
         // kill): release the old accounting first.
@@ -300,22 +274,18 @@ impl MemoryGovernor {
         }
         let prior_uses = st.history.get(&id).map(|h| h.uses).unwrap_or(0);
 
+        let mut victims = Vec::new();
         if budget > 0 {
             if charge.bytes > budget {
                 self.metrics.admit_rejects.inc();
                 self.publish_resident(&st);
-                return (false, Vec::new());
+                return (false, victims);
             }
             if st.resident + charge.bytes > budget {
-                let target = budget - charge.bytes;
+                // Cost-based admission: never displace hotter blocks.
                 let candidate_score = charge.cost_ns.max(1) as f64 * (prior_uses + 1) as f64
                     / charge.bytes.max(1) as f64;
-                let floor = match policy {
-                    // Cost-based admission: never displace hotter blocks.
-                    EvictionPolicy::CostSpill => Some(candidate_score),
-                    EvictionPolicy::FifoDrop => None,
-                };
-                let victims = self.evict_down_to(&mut st, target, policy, floor);
+                victims = self.evict_down_to(&mut st, budget - charge.bytes, Some(candidate_score));
                 if st.resident + charge.bytes > budget {
                     // Could not free enough without displacing hotter
                     // entries: the candidate is not worth caching.
@@ -323,31 +293,11 @@ impl MemoryGovernor {
                     self.publish_resident(&st);
                     return (false, victims);
                 }
-                st.history.remove(&id);
-                st.clock += 1;
-                st.seq += 1;
-                let (clock, seq) = (st.clock, st.seq);
-                st.entries.insert(
-                    id,
-                    Entry {
-                        worker,
-                        bytes: charge.bytes,
-                        cost_ns: charge.cost_ns,
-                        uses: prior_uses,
-                        last_use: clock,
-                        seq,
-                        spill: charge.spill,
-                    },
-                );
-                st.resident += charge.bytes;
-                self.publish_resident(&st);
-                return (true, victims);
             }
         }
         st.history.remove(&id);
         st.clock += 1;
-        st.seq += 1;
-        let (clock, seq) = (st.clock, st.seq);
+        let clock = st.clock;
         st.entries.insert(
             id,
             Entry {
@@ -356,13 +306,12 @@ impl MemoryGovernor {
                 cost_ns: charge.cost_ns,
                 uses: prior_uses,
                 last_use: clock,
-                seq,
                 spill: charge.spill,
             },
         );
         st.resident += charge.bytes;
         self.publish_resident(&st);
-        (true, Vec::new())
+        (true, victims)
     }
 
     /// Called before rebuilding a missing block. Returns the raw
@@ -602,28 +551,23 @@ impl MemoryGovernor {
     // Eviction internals
     // ------------------------------------------------------------------
 
-    /// Evict entries until `resident ≤ target`, honoring the policy's
-    /// victim order. With `score_floor`, stop before evicting any entry
-    /// scoring above the floor (cost-based admission).
+    /// Evict entries coldest first (score, then recency) until
+    /// `resident ≤ target`, spilling each victim that has a spill closure.
+    /// With `score_floor`, stop before evicting any entry scoring above
+    /// the floor (cost-based admission).
     fn evict_down_to(
         &self,
         st: &mut GovState,
         target: u64,
-        policy: EvictionPolicy,
         score_floor: Option<f64>,
     ) -> Vec<Victim> {
         if st.resident <= target {
             return Vec::new();
         }
-        // Victim order: coldest first (score, then recency) under
-        // CostSpill; insertion order under FifoDrop.
         let mut order: Vec<(BlockId, f64, u64)> = st
             .entries
             .iter()
-            .map(|(id, e)| match policy {
-                EvictionPolicy::CostSpill => (*id, e.score(), e.last_use),
-                EvictionPolicy::FifoDrop => (*id, 0.0, e.seq),
-            })
+            .map(|(id, e)| (*id, e.score(), e.last_use))
             .collect();
         order.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
@@ -643,18 +587,16 @@ impl MemoryGovernor {
             let entry = st.entries.remove(&id).expect("listed above");
             st.resident -= entry.bytes;
             self.metrics.evictions.inc();
-            if policy == EvictionPolicy::CostSpill {
-                // An occupied slot means a valid image from an earlier
-                // eviction is still on disk (block content is immutable
-                // per BlockId — a new version gets a new dataset id), so
-                // that eviction needs no re-encode.
-                if let Vacant(slot) = st.spilled.entry(id) {
-                    if let Some(raw) = entry.spill.as_ref().and_then(|spill| spill()) {
-                        if let Some(image) = self.write_spill(id, &raw) {
-                            self.metrics.spills.inc();
-                            self.metrics.spilled_bytes.add(raw.len() as u64);
-                            slot.insert(image);
-                        }
+            // An occupied slot means a valid image from an earlier
+            // eviction is still on disk (block content is immutable per
+            // BlockId — a new version gets a new dataset id), so that
+            // eviction needs no re-encode.
+            if let Vacant(slot) = st.spilled.entry(id) {
+                if let Some(raw) = entry.spill.as_ref().and_then(|spill| spill()) {
+                    if let Some(image) = self.write_spill(id, &raw) {
+                        self.metrics.spills.inc();
+                        self.metrics.spilled_bytes.add(raw.len() as u64);
+                        slot.insert(image);
                     }
                 }
             }
@@ -818,35 +760,6 @@ mod tests {
         let (_, _) = g.admit(1, id(7, 2), charge(1500, u64::MAX / 2));
         assert_eq!(g.discard_spill_images(), 1);
         assert!(g.prepare_rebuild(id(7, 0)).is_none());
-        assert_eq!(r.counter_value("memory.recomputes"), 1);
-    }
-
-    #[test]
-    fn fifo_drop_policy_never_spills() {
-        let (g, r) = governor();
-        g.set_policy(EvictionPolicy::FifoDrop);
-        g.set_budget(2000);
-        let (ok, _) = g.admit(
-            0,
-            id(3, 0),
-            BlockCharge {
-                bytes: 1500,
-                cost_ns: 10,
-                spill: Some(Box::new(|| Some(vec![0u8; 64]))),
-            },
-        );
-        assert!(ok);
-        g.touch(id(3, 0));
-        g.touch(id(3, 0));
-        // FIFO ignores heat: the oldest block goes, nothing is spilled,
-        // and the cold newcomer is admitted unconditionally.
-        let (ok, victims) = g.admit(0, id(3, 1), charge(1500, 1));
-        assert!(ok);
-        assert_eq!(victims, vec![(0, id(3, 0))]);
-        assert_eq!(g.spilled_block_count(), 0);
-        assert_eq!(r.counter_value("memory.spills"), 0);
-        // Rebuild of the dropped block counts as recompute.
-        assert!(g.prepare_rebuild(id(3, 0)).is_none());
         assert_eq!(r.counter_value("memory.recomputes"), 1);
     }
 

@@ -7,7 +7,7 @@
 //! mid-stage worker kill while a split reduce plan is in flight (a retried
 //! slice must not double-apply the split).
 
-use dataframe::physical::scan::ColumnarScanExec;
+use dataframe::physical::scan::ProviderScanExec;
 use dataframe::{AdaptiveJoinExec, ColumnarTable, Context, ExecConfig, ExecPlan, Partitions};
 use proptest::prelude::*;
 use rowstore::{DataType, Field, Row, Schema, Value};
@@ -190,7 +190,7 @@ proptest! {
 fn scan(schema: &Arc<Schema>, rows: Vec<Row>) -> Arc<dyn ExecPlan> {
     let parts = 1 + rows.len() % 4;
     let t = Arc::new(ColumnarTable::from_rows(Arc::clone(schema), rows, parts));
-    Arc::new(ColumnarScanExec::new(t, None, None))
+    Arc::new(ProviderScanExec::new(t, "t"))
 }
 
 /// A worker dies while the adaptive exchange's split reduce plan is in

@@ -2,7 +2,7 @@
 //! scope: the columnar indexed layout (footnote 2), file-backed replayable
 //! sources, and ORDER BY through the full stack.
 
-use dataframe::Context;
+use dataframe::{ColumnarTable, Context, PlanError};
 use indexed_df::{ColumnarIndexedTable, FileSource, IndexedDataFrame};
 use rowstore::{DataType, Field, Row, Schema, Value};
 use sparklet::{Cluster, ClusterConfig};
@@ -172,4 +172,41 @@ fn columnar_pushdown_shapes() {
     assert!(out
         .iter()
         .all(|r| r.len() == 1 && r[0].as_i64().unwrap() >= 290));
+}
+
+/// `NOT` over a non-boolean column is a type error caught while planning:
+/// every table layout returns `PlanError::Unsupported` and launches no
+/// stage (it used to panic inside the scan tasks and exhaust their
+/// retries).
+#[test]
+fn not_over_non_boolean_fails_at_plan_time() {
+    let ctx = ctx();
+    ctx.register_table(
+        "t_cache",
+        Arc::new(ColumnarTable::from_rows(schema(), rows(200, 20), 4)),
+    );
+    IndexedDataFrame::from_rows(&ctx, schema(), rows(200, 20), "k")
+        .unwrap()
+        .register("t_row")
+        .unwrap();
+    ColumnarIndexedTable::from_rows(&ctx, schema(), rows(200, 20), "k")
+        .unwrap()
+        .register("t_col")
+        .unwrap();
+    let registry = ctx.cluster().registry();
+    for table in ["t_cache", "t_row", "t_col"] {
+        let launched = registry.counter_value("stage.launched");
+        let res = ctx
+            .sql(&format!("SELECT * FROM {table} WHERE NOT k"))
+            .and_then(|df| df.collect());
+        assert!(
+            matches!(res, Err(PlanError::Unsupported(_))),
+            "{table}: {res:?}"
+        );
+        assert_eq!(
+            registry.counter_value("stage.launched"),
+            launched,
+            "{table}: no stage may run"
+        );
+    }
 }

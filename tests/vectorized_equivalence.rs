@@ -1,20 +1,19 @@
 //! Equivalence suite for the vectorized kernels: random nullable schemas,
 //! random data (including NULLs across all five dtypes), and random
-//! type-correct expression trees must evaluate identically through all
-//! three paths — `eval_row` (materialized rows), `eval_columnar`
-//! (per-row over columns), and `eval_batch` (typed kernels over a
+//! type-correct expression trees must evaluate identically through
+//! `eval_row` (materialized rows) and `eval_batch` (typed kernels over a
 //! selection vector) — both over the identity selection and over a
 //! random subset.
 //!
-//! Expression generation is type-aware only where the row path's
-//! semantics demand it: `NOT` is applied exclusively to boolean-typed
-//! subtrees (anything else panics in `eval_not`, and `batch_compatible`
-//! rejects it — covered by its own property below). Everything else is
+//! Expression generation is type-aware only where binding demands it:
+//! `NOT` is applied exclusively to boolean-typed subtrees (anything else
+//! is rejected by `BoundExpr::bind` — covered by its own property below).
+//! Everything else is
 //! generated freely: mismatched comparisons, arithmetic over booleans,
 //! and NULL literals are all legal and null-producing on every path.
 
 use dataframe::vector::SelVec;
-use dataframe::{BoundExpr, Expr};
+use dataframe::{BoundExpr, Expr, PlanError};
 use proptest::prelude::*;
 use rowstore::{DataType, Field, Row, Schema, Value};
 use std::sync::Arc;
@@ -215,31 +214,20 @@ fn val_eq(a: &Value, b: &Value) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// eval_row == eval_columnar == eval_batch, over the identity
-    /// selection and over a random subset of rows.
+    /// eval_row == eval_batch, over the identity selection and over a
+    /// random subset of rows.
     #[test]
     fn batch_kernels_match_row_and_columnar_eval(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
         let schema = gen_schema(&mut rng);
         let rows = gen_rows(&mut rng, &schema);
         let expr = gen_any(&mut rng, &schema, 3);
-        let bound = BoundExpr::bind(&expr, &schema).expect("generated names resolve");
-        prop_assert!(
-            bound.batch_compatible(&schema),
-            "generator must stay inside kernel coverage: {expr:?}"
-        );
+        let bound = BoundExpr::bind(&expr, &schema)
+            .unwrap_or_else(|e| panic!("generated expression must bind: {expr:?}: {e}"));
 
         let part = dataframe::ColumnarPartition::from_rows(&schema, &rows);
         let n = rows.len();
         let expected: Vec<Value> = rows.iter().map(|r| bound.eval_row(r)).collect();
-
-        for (i, want) in expected.iter().enumerate() {
-            let got = bound.eval_columnar(&part, i);
-            prop_assert!(
-                val_eq(&got, want),
-                "eval_columnar row {i}: {got:?} != {want:?} for {expr:?}"
-            );
-        }
 
         let dense = bound.eval_batch(&part, &SelVec::identity(n));
         prop_assert_eq!(dense.len(), n);
@@ -267,11 +255,11 @@ proptest! {
         }
     }
 
-    /// The one uncovered shape: `NOT` over a statically non-boolean,
-    /// non-null operand must be rejected by `batch_compatible` (the row
-    /// path panics there, and the planner must keep it off the kernels).
+    /// `NOT` over a statically non-boolean, non-null operand must be
+    /// rejected by `BoundExpr::bind` with `PlanError::Unsupported`, so no
+    /// evaluator ever meets it.
     #[test]
-    fn not_over_numeric_is_never_batch_compatible(seed in any::<u64>()) {
+    fn not_over_numeric_is_rejected_at_bind(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
         let schema = gen_schema(&mut rng);
         let num_cols = cols_where(&schema, is_numeric);
@@ -288,10 +276,10 @@ proptest! {
             _ => anchor.mul(dataframe::lit(FLOATS[rng.below(FLOATS.len())])),
         };
         let expr = operand.not();
-        let bound = BoundExpr::bind(&expr, &schema).expect("generated names resolve");
+        let err = BoundExpr::bind(&expr, &schema).unwrap_err();
         prop_assert!(
-            !bound.batch_compatible(&schema),
-            "NOT over numeric must fall back to the row path: {expr:?}"
+            matches!(err, PlanError::Unsupported(_)),
+            "NOT over numeric must be rejected at bind: {expr:?}: {err:?}"
         );
     }
 }
