@@ -5,7 +5,8 @@
 //! queries as SQL) against **one shared indexed cluster** through
 //! [`Context::submit_sql`], closed-loop (a client waits for its query
 //! before submitting the next). Reported per client count: throughput
-//! (qps) and client-observed latency (p50/p99 from the log₂ histogram).
+//! (qps) and client-observed latency (exact p50/p99 over every query's
+//! raw sample).
 //!
 //! ## Why a simulated dispatch RTT
 //!
@@ -15,8 +16,8 @@
 //! dispatch costs a driver→executor round trip, and concurrent query
 //! drivers overlap those RTTs. The bench models this with
 //! [`sparklet::Scheduler::set_dispatch_rtt_ns`] (default 0 — no other
-//! path pays it): each dispatch sleeps the RTT on the submitting query's
-//! driver thread, so serial clients pay RTT × tasks sequentially while
+//! path pays it): each dispatch sleeps the RTT on the thread driving the
+//! query (the client's own, under claim-on-wait), so serial clients pay RTT × tasks sequentially while
 //! concurrent clients pay it in parallel. The configured RTT is recorded
 //! in the perf record (`rtt_ns`) for transparency.
 
@@ -24,7 +25,6 @@ use crate::perf::Perf;
 use crate::{banner, write_csv, Opts};
 use dataframe::Context;
 use sparklet::{Cluster, ClusterConfig};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::{register_indexed, snb};
@@ -50,15 +50,15 @@ fn serve_ctx(workers: usize) -> Arc<Context> {
 }
 
 /// One client's closed loop: submit `queries` SQ-mix statements, waiting
-/// for each result; record per-query latency into `hist` and return the
-/// number of rows seen (so results cannot be optimized away).
+/// for each result. Returns the per-query latencies in ns and the number
+/// of rows seen (so results cannot be optimized away).
 fn run_client(
     ctx: &Arc<Context>,
     client: usize,
     queries: usize,
     person_ids: &[i64],
-    hist: &sparklet::metrics::Histogram,
-) -> usize {
+) -> (Vec<u64>, usize) {
+    let mut latencies = Vec::with_capacity(queries);
     let mut rows_seen = 0;
     for i in 0..queries {
         let q = 1 + (client + i) % 7;
@@ -67,17 +67,21 @@ fn run_client(
         let start = Instant::now();
         let handle = ctx.submit_sql(&sql).expect("admission open");
         let rows = handle.wait().expect("query succeeds");
-        hist.record(start.elapsed().as_nanos() as u64);
+        latencies.push(start.elapsed().as_nanos() as u64);
         rows_seen += rows.len();
     }
-    rows_seen
+    (latencies, rows_seen)
+}
+
+/// Nearest-rank `q`-quantile of ascending `sorted` samples, in ms.
+fn quantile_ms(sorted: &[u64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted[rank.min(sorted.len()) - 1] as f64 / 1e6
 }
 
 /// Closed-loop serve point: `clients` threads × `per_client` queries on
 /// the shared context. Returns (qps, p50_ms, p99_ms).
 fn serve_point(ctx: &Arc<Context>, clients: usize, per_client: usize) -> (f64, f64, f64) {
-    let hist = Arc::new(sparklet::metrics::Histogram::default());
-    let rows = Arc::new(AtomicU64::new(0));
     let mut ids: Vec<i64> = (0..64).map(|i| i * 7 % 97).collect();
     ids.dedup();
     let ids = Arc::new(ids);
@@ -85,26 +89,24 @@ fn serve_point(ctx: &Arc<Context>, clients: usize, per_client: usize) -> (f64, f
     let threads: Vec<_> = (0..clients)
         .map(|c| {
             let ctx = Arc::clone(ctx);
-            let hist = Arc::clone(&hist);
-            let rows = Arc::clone(&rows);
             let ids = Arc::clone(&ids);
-            std::thread::spawn(move || {
-                let n = run_client(&ctx, c, per_client, &ids, &hist);
-                rows.fetch_add(n as u64, Relaxed);
-            })
+            std::thread::spawn(move || run_client(&ctx, c, per_client, &ids))
         })
         .collect();
+    let mut latencies = Vec::with_capacity(clients * per_client);
+    let mut rows = 0;
     for t in threads {
-        t.join().expect("client thread");
+        let (client_latencies, client_rows) = t.join().expect("client thread");
+        latencies.extend(client_latencies);
+        rows += client_rows;
     }
     let wall = start.elapsed().as_secs_f64();
-    assert!(rows.load(Relaxed) > 0, "serve mix returned rows");
-    let snap = hist.snapshot();
-    let total = (clients * per_client) as f64;
+    assert!(rows > 0, "serve mix returned rows");
+    latencies.sort_unstable();
     (
-        total / wall,
-        snap.percentile(0.50).unwrap_or(0) as f64 / 1e6,
-        snap.percentile(0.99).unwrap_or(0) as f64 / 1e6,
+        latencies.len() as f64 / wall,
+        quantile_ms(&latencies, 0.50),
+        quantile_ms(&latencies, 0.99),
     )
 }
 
@@ -182,4 +184,22 @@ pub fn serve(opts: &Opts) {
     perf.finish(opts);
     println!("shape check: qps grows with client count (overlapped dispatch RTT +");
     println!("admission/fair-queue overhead staying sub-linear), p99 stays bounded");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quantile_ms;
+
+    #[test]
+    fn quantiles_are_exact_sample_values() {
+        let ns: Vec<u64> = (1..=100).map(|i| i * 1_000_000).collect();
+        assert_eq!(quantile_ms(&ns, 0.50), 50.0);
+        assert_eq!(quantile_ms(&ns, 0.99), 99.0);
+        assert_eq!(quantile_ms(&[7_500_000], 0.99), 7.5);
+        // Not a power-of-two bucket edge: 33.554431 ms was one.
+        assert_eq!(
+            quantile_ms(&[30_000_000, 31_000_000, 40_000_000], 0.5),
+            31.0
+        );
+    }
 }

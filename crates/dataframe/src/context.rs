@@ -8,6 +8,7 @@ use crate::expr::PlanError;
 use crate::physical::ExecPlan;
 use crate::plan::LogicalPlan;
 use crate::planner::Planner;
+use crate::session::DriverPool;
 use parking_lot::{Mutex, RwLock};
 use rowstore::{Row, Schema};
 use sparklet::Cluster;
@@ -253,6 +254,8 @@ pub struct Context {
     /// DataFrame's standing-view manager) hang per-session singletons off
     /// the context without the engine crate knowing their types.
     extensions: Mutex<HashMap<&'static str, Arc<dyn Any + Send + Sync>>>,
+    /// Pooled driver threads for `submit_sql` jobs (see `session`).
+    drivers: DriverPool,
 }
 
 /// RAII pin over the tables a running query scans: created at submit,
@@ -290,11 +293,16 @@ impl Context {
             rules: RwLock::new(Vec::new()),
             pins: Mutex::new(HashMap::new()),
             extensions: Mutex::new(HashMap::new()),
+            drivers: DriverPool::default(),
         })
     }
 
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
+    }
+
+    pub(crate) fn drivers(&self) -> &DriverPool {
+        &self.drivers
     }
 
     pub fn config(&self) -> &ExecConfig {

@@ -218,6 +218,12 @@ pub enum PlanError {
     Exec(crate::physical::ExecError),
     /// The table cannot be deregistered while a running query pins it.
     TablePinned(String),
+    /// The table cannot be untracked while a registered standing view
+    /// reads it.
+    TableReadByView {
+        table: String,
+        view: String,
+    },
     /// The admission controller rejected the submission (queue full, or
     /// cancelled while waiting for a slot).
     Admission(String),
@@ -237,6 +243,9 @@ impl fmt::Display for PlanError {
             PlanError::Exec(e) => write!(f, "{e}"),
             PlanError::TablePinned(t) => {
                 write!(f, "table {t} is pinned by a running query")
+            }
+            PlanError::TableReadByView { table, view } => {
+                write!(f, "table {table} is read by standing view {view}")
             }
             PlanError::Admission(m) => write!(f, "admission rejected: {m}"),
             PlanError::Internal(m) => write!(f, "internal driver error: {m}"),

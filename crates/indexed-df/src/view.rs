@@ -152,6 +152,13 @@ pub trait ContextViewExt {
 
     /// Remove a view (stops refreshing it); `true` if it existed.
     fn drop_view(&self, name: &str) -> bool;
+
+    /// Stop tracking `name` as an appendable base table; `Ok(true)` if it
+    /// was tracked. Fails with [`PlanError::TableReadByView`] while a
+    /// registered view reads the table. A tracked table holds its
+    /// context, so a context drops only once its tables are untracked
+    /// (and deregistered from its catalog). The catalog entry stays.
+    fn untrack_table(&self, name: &str) -> Result<bool, PlanError>;
 }
 
 fn manager(ctx: &Arc<Context>) -> Arc<ViewManager> {
@@ -194,6 +201,10 @@ impl ContextViewExt for Arc<Context> {
     fn drop_view(&self, name: &str) -> bool {
         manager(self).views.lock().remove(name).is_some()
     }
+
+    fn untrack_table(&self, name: &str) -> Result<bool, PlanError> {
+        manager(self).untrack_table(name)
+    }
 }
 
 impl ViewManager {
@@ -221,6 +232,18 @@ impl ViewManager {
                         .is_some_and(|t| t.index_col() == *right_key)
             }
         }
+    }
+
+    fn untrack_table(&self, name: &str) -> Result<bool, PlanError> {
+        let _appends = self.append_lock.lock();
+        let views = self.views.lock();
+        if let Some(view) = views.values().find(|v| v.tables.iter().any(|t| t == name)) {
+            return Err(PlanError::TableReadByView {
+                table: name.to_string(),
+                view: view.name.clone(),
+            });
+        }
+        Ok(self.tables.lock().remove(name).is_some())
     }
 
     fn register_view(
@@ -687,5 +710,50 @@ mod tests {
             ctx.append_table("nope", vec![]),
             Err(PlanError::UnknownTable(_))
         ));
+    }
+
+    /// Nothing the view layer, the catalog or the pooled session drivers
+    /// keep outlives the context once its views are dropped and its
+    /// tables untracked and deregistered.
+    #[test]
+    fn untracked_context_drops() {
+        let (ctx, events_df, dims_df) = fixture();
+        let view = ctx
+            .register_view(
+                "enriched",
+                &events_df.clone().join(dims_df.clone(), "k", "k"),
+            )
+            .unwrap();
+        assert_eq!(
+            ctx.untrack_table("dims").unwrap_err(),
+            PlanError::TableReadByView {
+                table: "dims".into(),
+                view: "enriched".into(),
+            }
+        );
+        // Queries through the session layer, one waited and one only
+        // polled, leave pooled driver threads behind.
+        let sql = "SELECT * FROM events WHERE k = 3";
+        assert_eq!(ctx.submit_sql(sql).unwrap().wait().unwrap().len(), 10);
+        let polled = ctx.submit_sql(sql).unwrap();
+        while polled.poll().is_none() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(polled);
+
+        assert!(ctx.drop_view("enriched"));
+        drop(view);
+        for table in ["events", "dims"] {
+            assert_eq!(ctx.untrack_table(table), Ok(true));
+            assert_eq!(ctx.untrack_table(table), Ok(false));
+            assert!(ctx.deregister_table(table).unwrap().is_some());
+        }
+        drop((events_df, dims_df));
+        let weak = Arc::downgrade(&ctx);
+        drop(ctx);
+        assert!(
+            weak.upgrade().is_none(),
+            "something still holds the context"
+        );
     }
 }

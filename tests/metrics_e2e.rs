@@ -324,8 +324,9 @@ fn memory_governance_metrics_populate_in_four_worker_run() {
 }
 
 /// The serving path records every per-session metric: admission outcomes
-/// (`session.admitted` / `session.rejected` / `session.cancelled`) and the
-/// queue/execution latency split (`session.queue_ns` / `session.exec_ns`).
+/// (`session.admitted` / `session.rejected` / `session.cancelled`), the
+/// queue/execution latency split (`session.queue_ns` / `session.exec_ns`)
+/// and the pooled driver threads started (`session.driver_spawns`).
 #[test]
 fn session_metrics_cover_every_admission_outcome() {
     let cluster = Cluster::new(ClusterConfig {
@@ -355,6 +356,10 @@ fn session_metrics_cover_every_admission_outcome() {
     let exec = registry.histogram_snapshot("session.exec_ns").unwrap();
     assert_eq!(exec.count, 3, "one exec-latency sample per session");
     assert!(exec.sum > 0, "execution took measurable time");
+    assert!(
+        registry.counter_value("session.driver_spawns") >= 1,
+        "submissions start pooled driver threads"
+    );
 
     // Rejected: a full wait queue turns the submit into a typed error.
     let scheduler = cluster.scheduler();
@@ -374,7 +379,7 @@ fn session_metrics_cover_every_admission_outcome() {
     assert_eq!(registry.counter_value("session.cancelled"), 1);
     assert_eq!(registry.counter_value("session.rejected"), 1, "unchanged");
 
-    // All five series travel in the metrics document.
+    // All six series travel in the metrics document.
     let json = cluster.metrics_json();
     for needle in [
         "\"session.admitted\"",
@@ -382,6 +387,7 @@ fn session_metrics_cover_every_admission_outcome() {
         "\"session.cancelled\"",
         "\"session.queue_ns\"",
         "\"session.exec_ns\"",
+        "\"session.driver_spawns\"",
     ] {
         assert!(json.contains(needle), "metrics_json missing {needle}");
     }

@@ -70,7 +70,7 @@ fn interleaved_queries_match_single_query_baselines() {
         .iter()
         .map(|(_, sql)| ctx.submit_sql(sql).unwrap())
         .collect();
-    for (((q, _), handle), baseline) in mix.iter().zip(&handles).zip(&baselines) {
+    for (((q, _), handle), baseline) in mix.iter().zip(handles).zip(&baselines) {
         let got = sorted(handle.wait().unwrap());
         if *q == 2 {
             // SQ2's LIMIT keeps an arbitrary-but-sized subset; the row
@@ -232,7 +232,7 @@ fn worker_kill_mid_serve_poisons_no_query() {
         sorted(killer_expected),
         "killer query itself completed correctly"
     );
-    for (((q, _), handle), baseline) in mix.iter().zip(&handles).zip(&baselines) {
+    for (((q, _), handle), baseline) in mix.iter().zip(handles).zip(&baselines) {
         let got = sorted(handle.wait().unwrap());
         if *q == 2 {
             assert_eq!(got.len(), baseline.len(), "SQ2 row count");
@@ -309,7 +309,7 @@ fn budget_constrained_serving_survives_eviction_and_worker_loss() {
             .iter()
             .map(|(_, sql)| ctx.submit_sql(sql).unwrap())
             .collect();
-        for (((q, _), handle), baseline) in mix.iter().zip(&handles).zip(&baselines) {
+        for (((q, _), handle), baseline) in mix.iter().zip(handles).zip(&baselines) {
             let got = sorted(handle.wait().unwrap());
             if *q == 2 {
                 assert_eq!(got.len(), baseline.len(), "SQ2 row count ({round})");
