@@ -65,7 +65,8 @@ pub fn fig1(opts: &Opts) {
 
         println!("{system}: query  total_ms  build_ms  shuffle_ms  probe_ms  scan_ms  bcast_MB");
         for q in 1..=5 {
-            let before = ctx.cluster().metrics().snapshot();
+            let registry = ctx.cluster().registry();
+            let before = registry.merged();
             let (dur, n) = time_once(|| {
                 edges_df
                     .clone()
@@ -73,13 +74,15 @@ pub fn fig1(opts: &Opts) {
                     .count()
                     .unwrap()
             });
-            let d = ctx.cluster().metrics().snapshot().delta_since(&before);
+            let d = registry.merged().since(&before);
+            // Counter delta in millions: ns → ms, bytes → MB.
+            let mega = |name: &str| d.get(name).copied().unwrap_or(0) as f64 / 1e6;
             let (total, build_ms, shuffle_ms, probe_ms, bcast) = (
                 dur.as_secs_f64() * 1e3,
-                (d.build_ns + d.recompute_ns) as f64 / 1e6,
-                d.shuffle_ns as f64 / 1e6,
-                d.probe_ns as f64 / 1e6,
-                d.broadcast_bytes as f64 / 1e6,
+                mega("phase.build_ns") + mega("phase.recompute_ns"),
+                mega("shuffle.ns"),
+                mega("phase.probe_ns"),
+                mega("broadcast.bytes"),
             );
             // The remainder is table scanning / row materialization — the
             // part vanilla Spark re-pays on every query.

@@ -116,18 +116,18 @@ pub fn fig10(opts: &Opts) {
         )
         .unwrap();
         idf.cache_index().unwrap();
-        ctx.cluster().metrics().reset();
-        let before = ctx.cluster().metrics().snapshot();
+        let registry = ctx.cluster().registry();
+        let before = registry.merged();
         let (total, _) = time_once(|| {
             for i in 0..appends {
                 idf = idf.append_rows(append_batch(append_size, 0x10_00 + i as u64));
                 idf.cache_index().unwrap(); // materialize: shuffle + insert
             }
         });
-        let d = ctx.cluster().metrics().snapshot().delta_since(&before);
+        let shuffle_ns = registry.merged().since(&before)["shuffle.ns"];
         let total_rows = appends * append_size;
         let rate = total_rows as f64 / total.as_secs_f64();
-        let shuffle_share = d.shuffle_ns as f64 / (total.as_nanos() as f64).max(1.0);
+        let shuffle_share = shuffle_ns as f64 / (total.as_nanos() as f64).max(1.0);
         println!(
             "{append_size:>11}  {appends:>7}  {total_rows:>10}  {:>10.2}  {rate:>10.0}  {:>12.1}%",
             total.as_secs_f64(),
@@ -236,7 +236,7 @@ pub fn fig12(opts: &Opts) {
         if q == 20 {
             cluster.kill_worker(1);
         }
-        let rec_before = indexed_df::recompute_ns(&ctx);
+        let before = cluster.registry().merged();
         let (d, _) = time_once(|| {
             edges_df
                 .clone()
@@ -244,7 +244,13 @@ pub fn fig12(opts: &Opts) {
                 .count()
                 .unwrap()
         });
-        let recovered = indexed_df::recompute_ns(&ctx) - rec_before;
+        let recovered = cluster
+            .registry()
+            .merged()
+            .since(&before)
+            .get("phase.recompute_ns")
+            .copied()
+            .unwrap_or(0);
         let ms = d.as_secs_f64() * 1e3;
         if q == 20 {
             spike_ms = ms;

@@ -145,7 +145,7 @@ mod tests {
             content.contains("\"workers\":2,"),
             "the attached cluster's worker count, not the 0 default option"
         );
-        assert!(content.contains("\"cluster\":{\"schema\":\"sparklet-metrics-v1\""));
+        assert!(content.contains("\"cluster\":{\"schema\":\"sparklet-metrics-v2\""));
         assert!(content.contains("\"x\":3"));
         assert!(content.contains("\"extras\":{\"speedup\":1.500000}"));
         let _ = std::fs::remove_dir_all(dir);

@@ -11,6 +11,7 @@ use crate::physical::{gather, ExecPlan};
 use crate::plan::{AggFunc, AggSpec, LogicalPlan};
 use crate::planner::Planner;
 use rowstore::{Row, Schema};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 impl Context {
@@ -163,14 +164,16 @@ impl DataFrame {
         Ok(self.collect_partitions()?.iter().map(Vec::len).sum())
     }
 
-    /// Execute and return the rows together with the engine metrics this
-    /// query moved (EXPLAIN ANALYZE's little sibling): shuffle volume,
-    /// build/probe/recompute time, broadcast bytes.
-    pub fn analyze(&self) -> Result<(Vec<Row>, sparklet::MetricsSnapshot), PlanError> {
-        let before = self.ctx.cluster().metrics().snapshot();
+    /// Execute and return the rows together with the registry counters
+    /// this query moved (EXPLAIN ANALYZE's little sibling), by name:
+    /// `shuffle.rows` / `shuffle.bytes` / `shuffle.ns`,
+    /// `phase.{build,probe,recompute}_ns`, `broadcast.bytes`, and the rest.
+    /// Concurrent queries on the same cluster land in the same counters.
+    pub fn analyze(&self) -> Result<(Vec<Row>, BTreeMap<String, u64>), PlanError> {
+        let registry = self.ctx.cluster().registry();
+        let before = registry.merged();
         let rows = self.collect()?;
-        let delta = self.ctx.cluster().metrics().snapshot().delta_since(&before);
-        Ok((rows, delta))
+        Ok((rows, registry.merged().since(&before)))
     }
 
     /// Render the logical and physical plans.

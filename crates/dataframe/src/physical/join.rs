@@ -19,7 +19,6 @@ use crate::physical::{
     count_rows, describe_node, observe_operator, ExecError, ExecPlan, KeyWrap, Partitions,
 };
 use rowstore::{Row, Schema, Value};
-use sparklet::metrics::Metrics;
 use sparklet::row_bytes;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -97,12 +96,12 @@ pub(crate) fn broadcast_hash_core(
     probe_key: usize,
     build_is_left: bool,
 ) -> Result<Partitions, ExecError> {
-    let metrics = ctx.cluster().metrics();
+    let registry = ctx.cluster().registry();
     let build_rows = count_rows(&build_parts) as usize;
     let probe_parts = Arc::new(probe_parts);
 
     // Build phase: collect + hash the build side.
-    let table = Metrics::timed(&metrics.build_ns, || {
+    let table = registry.counter("phase.build_ns").time(|| {
         Arc::new(build_table(
             build_parts.into_iter().flatten(),
             build_key,
@@ -123,7 +122,7 @@ pub(crate) fn broadcast_hash_core(
     // Probe phase: local hash lookups per probe partition.
     let probe_parts2 = Arc::clone(&probe_parts);
     let table2 = Arc::clone(&table);
-    Metrics::timed(&metrics.probe_ns, || {
+    let probed = registry.counter("phase.probe_ns").time(|| {
         ctx.cluster()
             .run_stage_partitions(probe_parts.len(), move |tc| {
                 let mut out = Vec::new();
@@ -144,8 +143,8 @@ pub(crate) fn broadcast_hash_core(
                 }
                 out
             })
-    })
-    .map_err(ExecError::from)
+    });
+    probed.map_err(ExecError::from)
 }
 
 /// Broadcast-hash join: the build side is collected, hashed once on the
@@ -235,8 +234,8 @@ pub(crate) fn shuffled_probe_core(
 ) -> Result<Partitions, ExecError> {
     let p = left_shuffled.len();
     assert_eq!(p, right_shuffled.len());
-    let metrics = ctx.cluster().metrics();
-    Metrics::timed(&metrics.probe_ns, || {
+    let probe_ns = ctx.cluster().registry().counter("phase.probe_ns");
+    let probed = probe_ns.time(|| {
         ctx.cluster().run_stage_partitions(p, move |tc| {
             let (build_rows, probe_rows, build_key, probe_key) = if build_left {
                 (
@@ -268,8 +267,8 @@ pub(crate) fn shuffled_probe_core(
             }
             out
         })
-    })
-    .map_err(ExecError::from)
+    });
+    probed.map_err(ExecError::from)
 }
 
 fn cmp_vals(a: &Value, b: &Value) -> std::cmp::Ordering {
@@ -289,8 +288,8 @@ pub(crate) fn sort_merge_probe_core(
 ) -> Result<Partitions, ExecError> {
     let p = left_shuffled.len();
     assert_eq!(p, right_shuffled.len());
-    let metrics = ctx.cluster().metrics();
-    Metrics::timed(&metrics.probe_ns, || {
+    let probe_ns = ctx.cluster().registry().counter("phase.probe_ns");
+    let probed = probe_ns.time(|| {
         let ls = Arc::clone(&left_shuffled);
         let rs = Arc::clone(&right_shuffled);
         ctx.cluster().run_stage_partitions(p, move |tc| {
@@ -328,8 +327,8 @@ pub(crate) fn sort_merge_probe_core(
             }
             out
         })
-    })
-    .map_err(ExecError::from)
+    });
+    probed.map_err(ExecError::from)
 }
 
 #[cfg(test)]
@@ -430,9 +429,9 @@ mod tests {
         let got = gather(j.execute(&ctx).unwrap());
         assert_eq!(got.len(), 20, "10..20 twice on the left");
         assert_eq!(sorted(got), sorted(expected()));
-        let m = ctx.cluster().metrics().snapshot();
-        assert!(m.build_ns > 0 && m.probe_ns > 0);
-        assert!(m.broadcast_bytes > 0);
+        let r = ctx.cluster().registry();
+        assert!(r.counter_value("phase.build_ns") > 0 && r.counter_value("phase.probe_ns") > 0);
+        assert!(r.counter_value("broadcast.bytes") > 0);
     }
 
     #[test]
@@ -491,9 +490,11 @@ mod tests {
             let (ctx, j) = shuffled_join(ls, rs, sort_merge);
             let got = gather(j.execute(&ctx).unwrap());
             assert_eq!(sorted(got), sorted(expected()), "sort_merge={sort_merge}");
-            let m = ctx.cluster().metrics().snapshot();
-            assert!(m.shuffle_rows > 0, "shuffled join must shuffle");
             let reg = ctx.cluster().registry();
+            assert!(
+                reg.counter_value("shuffle.rows") > 0,
+                "shuffled join must shuffle"
+            );
             assert_eq!(reg.counter_value("adaptive.join_demotions"), 0);
             assert_eq!(reg.counter_value("adaptive.salted_joins"), 0);
         }

@@ -18,9 +18,7 @@ use crate::partition::IndexedPartition;
 use crate::source::{InMemorySource, ReplayableSource};
 use dataframe::{Context, DataFrame, PlanError};
 use rowstore::{BlockReader, BlockWriter, Row, Schema, StoreConfig, Value};
-use sparklet::metrics::Metrics;
 use sparklet::{partition_of, BlockCharge, BlockId, Cluster, StageError, TaskSpec};
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// How an Indexed DataFrame version came to be (its lineage).
@@ -103,29 +101,28 @@ impl IdfInner {
         // the governor's spill image if one exists; fall back to lineage
         // recompute (Fig. 12's recovery) if there is none or it was lost.
         registry.counter("index.cache.misses").inc();
-        let metrics = cluster.metrics();
         let start = std::time::Instant::now();
-        let part = Metrics::timed(&metrics.recompute_ns, || {
-            Arc::new(
-                cluster
-                    .memory()
-                    .prepare_rebuild(id)
-                    .and_then(|raw| self.partition_from_spill(&raw))
-                    .unwrap_or_else(|| {
-                        let part = self.build_partition(p);
-                        // Under a budget the rebuild's replay buffer is
-                        // surrendered like on_materialized's: retaining
-                        // every bucketized source row would hold the whole
-                        // dataset resident outside the governor's
-                        // accounting, quietly defeating the budget.
-                        if cluster.memory().budget() > 0 {
-                            *self.buckets.lock() = None;
-                        }
-                        part
-                    }),
-            )
-        });
-        self.put_partition_charged(worker, id, &part, start.elapsed().as_nanos() as u64);
+        let part = Arc::new(
+            cluster
+                .memory()
+                .prepare_rebuild(id)
+                .and_then(|raw| self.partition_from_spill(&raw))
+                .unwrap_or_else(|| {
+                    let part = self.build_partition(p);
+                    // Under a budget the rebuild's replay buffer is
+                    // surrendered like on_materialized's: retaining every
+                    // bucketized source row would hold the whole dataset
+                    // resident outside the governor's accounting, quietly
+                    // defeating the budget.
+                    if cluster.memory().budget() > 0 {
+                        *self.buckets.lock() = None;
+                    }
+                    part
+                }),
+        );
+        let rebuild_ns = start.elapsed().as_nanos() as u64;
+        registry.counter("phase.recompute_ns").add(rebuild_ns);
+        self.put_partition_charged(worker, id, &part, rebuild_ns);
         part
     }
 
@@ -305,7 +302,6 @@ impl IdfInner {
     /// dead cluster) surfaces as an error.
     pub(crate) fn materialize(self: &Arc<Self>) -> Result<(), StageError> {
         let cluster = self.ctx.cluster();
-        let metrics = cluster.metrics();
         let p = self.num_partitions;
 
         let missing: Vec<usize> = (0..p)
@@ -403,7 +399,8 @@ impl IdfInner {
             })
             .collect();
         let weights: Vec<u64> = (0..p).map(|i| shuffled[i].len() as u64).collect();
-        Metrics::timed(&metrics.build_ns, || {
+        let build_ns = cluster.registry().counter("phase.build_ns");
+        build_ns.time(|| {
             cluster.run_stage_weighted(&tasks, &weights, move |tc| {
                 let pidx = tc.partition;
                 let start = std::time::Instant::now();
@@ -597,21 +594,16 @@ impl IndexedDataFrame {
     pub fn get_rows(&self, key: &Value) -> Result<Vec<Row>, StageError> {
         let p = partition_of(key.key_hash(), self.inner.num_partitions);
         let cluster = self.inner.ctx.cluster();
-        let metrics = cluster.metrics();
         let inner = Arc::clone(&self.inner);
         let key = key.clone();
         let task = TaskSpec {
             partition: p,
             preferred_worker: Some(self.inner.home_worker(p)),
         };
-        let rows = Metrics::timed(&metrics.probe_ns, || {
-            cluster.run_stage(&[task], move |tc| {
-                let _ = tc;
-                inner.get_partition(p).lookup(&key)
-            })
-        })?
-        .pop()
-        .unwrap_or_default();
+        let rows = cluster
+            .run_stage(&[task], move |_| inner.get_partition(p).lookup(&key))?
+            .pop()
+            .unwrap_or_default();
         let registry = cluster.registry();
         registry.counter("index.lookups").inc();
         // Matching rows are chained newest-first through backward pointers
@@ -819,14 +811,6 @@ impl IdfBuilder {
             lease,
         })
     }
-}
-
-/// Read the cluster's `recompute_ns` counter: nanoseconds spent rebuilding
-/// indexed partitions missing from the cache (lost, evicted or never
-/// built), from a spill image or from lineage. The fault-tolerance figure
-/// uses it to separate recovery time.
-pub fn recompute_ns(ctx: &Arc<Context>) -> u64 {
-    ctx.cluster().metrics().recompute_ns.load(Relaxed)
 }
 
 #[cfg(test)]

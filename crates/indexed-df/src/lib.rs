@@ -59,7 +59,7 @@ pub mod table;
 mod view;
 
 pub use columnar::{ColumnarIndexedPartition, ColumnarIndexedTable};
-pub use frame::{recompute_ns, IdfBuilder, IndexedDataFrame};
+pub use frame::{IdfBuilder, IndexedDataFrame};
 pub use partition::{BulkInsertStats, IndexedPartition};
 pub use rule::{install, IndexedRule};
 pub use source::{FileSource, InMemorySource, ReplayableSource};

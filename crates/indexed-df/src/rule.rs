@@ -23,7 +23,6 @@ use dataframe::physical::{
 };
 use dataframe::{Context, LogicalPlan, PlanError, Planner, PlannerRule};
 use rowstore::{Row, Schema, Value};
-use sparklet::metrics::Metrics;
 use sparklet::{partition_of, row_bytes, TaskSpec};
 use std::sync::Arc;
 
@@ -188,7 +187,6 @@ impl ExecPlan for IndexedJoinExec {
 
     fn execute(&self, ctx: &Arc<Context>) -> Result<Partitions, ExecError> {
         let cluster = ctx.cluster();
-        let metrics = cluster.metrics();
         let probe_parts = self.probe.execute(ctx)?;
         observe_operator(ctx, "join.indexed", count_rows(&probe_parts), || {
             // Ensure the index is materialized (first use pays the build; later
@@ -245,7 +243,8 @@ impl ExecPlan for IndexedJoinExec {
                     preferred_worker: Some(cluster.worker_for_partition(i)),
                 })
                 .collect();
-            Ok(Metrics::timed(&metrics.probe_ns, || {
+            let probe_ns = cluster.registry().counter("phase.probe_ns");
+            Ok(probe_ns.time(|| {
                 let probes = Arc::clone(&per_partition_probe);
                 cluster.run_stage(&tasks, move |tc| {
                     let part = table.partition_handle(tc.partition);

@@ -2,7 +2,7 @@
 //! divergence (Listing 2), Catalyst-rule integration, fault tolerance.
 
 use dataframe::{col, lit, ColumnarTable, Context};
-use indexed_df::{recompute_ns, IndexedDataFrame};
+use indexed_df::IndexedDataFrame;
 use rowstore::{DataType, Field, Row, Schema, Value};
 use sparklet::{Cluster, ClusterConfig};
 use std::sync::Arc;
@@ -244,7 +244,7 @@ fn indexed_join_shuffle_path_matches_broadcast_path() {
         .unwrap();
     assert_eq!(got.len(), 200); // 10 probe keys × 20 rows per key
     assert!(
-        ctx.cluster().metrics().snapshot().shuffle_rows > 0,
+        ctx.cluster().registry().counter_value("shuffle.rows") > 0,
         "shuffle path must shuffle"
     );
 }
@@ -266,12 +266,13 @@ fn fault_tolerance_rebuilds_lost_partitions() {
 
     // Kill a worker: its cached indexed partitions are gone.
     cluster.kill_worker(1);
-    let rec_before = recompute_ns(&ctx);
+    let recompute_ns = || cluster.registry().counter_value("phase.recompute_ns");
+    let rec_before = recompute_ns();
     // Every key must still be resolvable (rebuilt from lineage).
     for k in 0..60 {
         assert_eq!(idf.get_rows(&Value::Int64(k)).unwrap().len(), 10, "key {k}");
     }
-    assert!(recompute_ns(&ctx) > rec_before, "recovery must recompute");
+    assert!(recompute_ns() > rec_before, "recovery must recompute");
 }
 
 #[test]
@@ -302,8 +303,7 @@ fn mid_stage_worker_kill_recovers_via_retry_and_lineage() {
         .unwrap();
     idf.cache_index().unwrap();
     assert!(idf.is_cached());
-    let rec_before = recompute_ns(&ctx);
-    let before = cluster.metrics().snapshot();
+    let before = cluster.registry().merged();
 
     let tasks: Vec<TaskSpec> = (0..idf.num_partitions())
         .map(|p| TaskSpec {
@@ -346,17 +346,18 @@ fn mid_stage_worker_kill_recovers_via_retry_and_lineage() {
         "every partition scanned exactly once"
     );
     assert!(!cluster.is_alive(1));
-    let after = cluster.metrics().snapshot().delta_since(&before);
+    let after = cluster.registry().merged().since(&before);
     assert!(
-        after.task_retries > 0,
+        after["task.retries"] > 0,
         "victim's in-flight tasks must be retried"
     );
     assert_eq!(
-        after.task_failures, 0,
+        after.get("task.terminal_failures").copied().unwrap_or(0),
+        0,
         "every failed attempt was retried, so none is terminal"
     );
     assert!(
-        recompute_ns(&ctx) > rec_before,
+        after["phase.recompute_ns"] > 0,
         "retried tasks must rebuild the victim's partitions from lineage"
     );
 }
@@ -542,7 +543,10 @@ fn analyze_reports_metrics() {
         .analyze()
         .unwrap();
     assert_eq!(rows.len(), 100);
-    assert!(metrics.probe_ns > 0, "indexed join must record probe time");
+    assert!(
+        metrics["phase.probe_ns"] > 0,
+        "indexed join must record probe time"
+    );
 }
 
 #[test]

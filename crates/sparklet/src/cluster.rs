@@ -17,7 +17,7 @@
 
 use crate::config::ClusterConfig;
 use crate::memory::{BlockCharge, MemoryGovernor};
-use crate::metrics::{Metrics, Registry, SpanKind, SpanRecord, Trace};
+use crate::metrics::{Registry, SpanKind, SpanRecord, Trace};
 use crate::scheduler::{self, QueryId, QueryRef, Scheduler};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -171,7 +171,6 @@ pub enum TaskResult<R> {
 pub struct Cluster {
     config: ClusterConfig,
     workers: Vec<WorkerState>,
-    metrics: Metrics,
     /// Named counters/gauges/histograms, sharded per worker.
     registry: Arc<Registry>,
     /// Bounded operator → stage → task span buffer.
@@ -221,7 +220,6 @@ impl Cluster {
         let cluster = Arc::new(Cluster {
             config,
             workers,
-            metrics: Metrics::new(),
             registry,
             trace: Arc::new(Trace::default()),
             scheduler,
@@ -246,10 +244,6 @@ impl Cluster {
 
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Named-metric registry (counters, gauges, log₂ histograms).
@@ -285,9 +279,9 @@ impl Cluster {
         self.with_query(&query, f)
     }
 
-    /// Serialize every metric — named registry, legacy phase counters and
-    /// a trace summary — as one JSON object (`sparklet-metrics-v1`; schema
-    /// documented in DESIGN.md).
+    /// Serialize every metric — the named registry and a trace summary —
+    /// as one JSON object (`sparklet-metrics-v2`; schema documented in
+    /// DESIGN.md).
     ///
     /// Concurrency contract: safe to call while queries are in flight.
     /// The snapshot is *monotonic*, not atomic — counters incremented
@@ -297,11 +291,10 @@ impl Cluster {
     pub fn metrics_json(&self) -> String {
         let _obs = self.obs.lock().unwrap();
         format!(
-            "{{\"schema\":\"sparklet-metrics-v1\",\"workers\":{},{},\"legacy\":{},\
+            "{{\"schema\":\"sparklet-metrics-v2\",\"workers\":{},{},\
              \"trace\":{{\"spans\":{},\"dropped\":{}}}}}",
             self.workers.len(),
             self.registry.merged().to_json_fields(),
-            self.metrics.snapshot().to_json(),
             self.trace.len(),
             self.trace.dropped()
         )
@@ -333,7 +326,6 @@ impl Cluster {
     /// in the freshly zeroed registry.
     pub fn reset_observability(&self) {
         let _obs = self.obs.lock().unwrap();
-        self.metrics.reset();
         self.registry.reset();
         self.trace.reset();
     }
@@ -609,7 +601,6 @@ impl Cluster {
         R: Send + 'static,
         F: Fn(TaskContext) -> R + Send + Sync + 'static,
     {
-        self.metrics.stages.fetch_add(1, Relaxed);
         self.registry.counter("stage.launched").inc();
         let span_id = self.trace.next_span_id();
         let parent = self.trace.current_parent();
@@ -668,9 +659,8 @@ impl Cluster {
                 executor,
                 non_local,
             };
-            self.metrics.tasks.fetch_add(1, Relaxed);
             if non_local {
-                self.metrics.non_local_tasks.fetch_add(1, Relaxed);
+                self.registry.counter("task.non_local").inc();
             }
             let f = Arc::clone(&f);
             let tx = tx.clone();
@@ -768,10 +758,10 @@ impl Cluster {
                 }
                 TaskResult::Failed(reason) => {
                     // Attempt-level accounting: every failed attempt counts
-                    // here, with its cause; `task_failures` is reserved for
-                    // *terminal* failures (retry exhaustion) so a task that
-                    // fails on worker A and succeeds on worker B leaves the
-                    // stage with one retry and zero failures.
+                    // here, with its cause; `task.terminal_failures` is
+                    // reserved for retry exhaustion, so a task that fails on
+                    // worker A and succeeds on worker B leaves the stage
+                    // with one retry and zero terminal failures.
                     self.registry.counter("task.attempt_failures").inc();
                     match &reason {
                         FailureReason::Panicked(_) => {
@@ -787,7 +777,6 @@ impl Cluster {
                         failed_workers[idx].push(worker);
                     }
                     if attempts[idx] >= self.config.max_task_attempts {
-                        self.metrics.task_failures.fetch_add(1, Relaxed);
                         self.registry.counter("task.terminal_failures").inc();
                         return Err(StageError::TaskFailed {
                             partition: tasks[idx].partition,
@@ -797,7 +786,7 @@ impl Cluster {
                         });
                     }
                     attempts[idx] += 1;
-                    self.metrics.task_retries.fetch_add(1, Relaxed);
+                    self.registry.counter("task.retries").inc();
                     dispatch(idx, &tasks[idx], &failed_workers[idx], attempts[idx])?;
                 }
             }
@@ -855,36 +844,6 @@ impl Cluster {
             .map(|s| s.expect("missing weighted task result"))
             .collect())
     }
-
-    /// Infallible wrapper over [`Cluster::run_stage`] for callers that
-    /// treat stage failure as fatal: panics on [`StageError`].
-    pub fn run_tasks<R, F>(&self, tasks: &[TaskSpec], f: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(TaskContext) -> R + Send + Sync + 'static,
-    {
-        match self.run_stage(tasks, f) {
-            Ok(results) => results,
-            Err(StageError::NoAliveWorkers { .. }) => panic!("no alive workers"),
-            Err(e) => panic!("stage failed: {e}"),
-        }
-    }
-
-    /// Convenience: one task per partition `0..n`, placed by
-    /// [`Cluster::worker_for_partition`]. Panics on [`StageError`].
-    pub fn run_partitions<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(TaskContext) -> R + Send + Sync + 'static,
-    {
-        let tasks: Vec<TaskSpec> = (0..n)
-            .map(|p| TaskSpec {
-                partition: p,
-                preferred_worker: Some(self.worker_for_partition(p)),
-            })
-            .collect();
-        self.run_tasks(&tasks, f)
-    }
 }
 
 #[cfg(test)]
@@ -904,34 +863,41 @@ mod tests {
     #[test]
     fn runs_tasks_in_order() {
         let c = cluster();
-        let out = c.run_partitions(16, |ctx| ctx.partition * 10);
+        let out = c
+            .run_stage_partitions(16, |ctx| ctx.partition * 10)
+            .unwrap();
         assert_eq!(out, (0..16).map(|p| p * 10).collect::<Vec<_>>());
     }
 
     #[test]
     fn tasks_respect_locality() {
         let c = cluster();
-        let out = c.run_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local));
+        let out = c
+            .run_stage_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local))
+            .unwrap();
         for (p, w, non_local) in out {
             assert_eq!(w, p % 3);
             assert!(!non_local);
         }
-        assert_eq!(c.metrics().snapshot().non_local_tasks, 0);
-        assert_eq!(c.metrics().snapshot().tasks, 12);
+        assert_eq!(c.registry().counter_value("task.non_local"), 0);
+        let run = c.registry().histogram_snapshot("task.run_ns").unwrap();
+        assert_eq!(run.count, 12, "one run per task");
     }
 
     #[test]
     fn dead_worker_falls_back() {
         let c = cluster();
         c.kill_worker(1);
-        let out = c.run_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local));
+        let out = c
+            .run_stage_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local))
+            .unwrap();
         for (p, w, non_local) in out {
             assert_ne!(w, 1, "dead worker must not run tasks");
             if p % 3 == 1 {
                 assert!(non_local);
             }
         }
-        assert!(c.metrics().snapshot().non_local_tasks >= 4);
+        assert!(c.registry().counter_value("task.non_local") >= 4);
     }
 
     #[test]
@@ -939,7 +905,7 @@ mod tests {
         let c = cluster();
         c.kill_worker(0);
         c.restart_worker(0);
-        let out = c.run_partitions(3, |ctx| ctx.worker);
+        let out = c.run_stage_partitions(3, |ctx| ctx.worker).unwrap();
         assert!(out.contains(&0));
     }
 
@@ -1015,24 +981,15 @@ mod tests {
         // sleeping tasks should take ~1 sleep, not 12.
         let c = cluster();
         let start = std::time::Instant::now();
-        c.run_partitions(12, |_| {
+        c.run_stage_partitions(12, |_| {
             std::thread::sleep(std::time::Duration::from_millis(50))
-        });
+        })
+        .unwrap();
         let elapsed = start.elapsed();
         assert!(
             elapsed < std::time::Duration::from_millis(400),
             "tasks serialized: {elapsed:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "no alive workers")]
-    fn all_workers_dead_panics() {
-        let c = cluster();
-        for w in 0..3 {
-            c.kill_worker(w);
-        }
-        c.run_partitions(1, |_| ());
     }
 
     #[test]
@@ -1059,15 +1016,16 @@ mod tests {
             })
             .expect("stage must recover via retry");
         assert_eq!(out, (0..6).map(|p| p * 10).collect::<Vec<_>>());
-        let m = c.metrics().snapshot();
+        let r = c.registry();
         assert_eq!(
-            m.task_failures, 0,
+            r.counter_value("task.terminal_failures"),
+            0,
             "recovered task is not a terminal failure"
         );
-        assert_eq!(m.task_retries, 1);
-        assert_eq!(m.stages, 1);
-        assert_eq!(m.tasks, 7, "6 first attempts + 1 retry");
-        let r = c.registry();
+        assert_eq!(r.counter_value("task.retries"), 1);
+        assert_eq!(r.counter_value("stage.launched"), 1);
+        let run = r.histogram_snapshot("task.run_ns").unwrap();
+        assert_eq!(run.count, 7, "6 first attempts + 1 retry");
         assert_eq!(r.counter_value("task.attempt_failures"), 1);
         assert_eq!(r.counter_value("task.failure_cause.panicked"), 1);
         assert_eq!(r.counter_value("task.terminal_failures"), 0);
@@ -1088,9 +1046,13 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, vec![0, 1, 2]);
-        let m = c.metrics().snapshot();
-        assert_eq!(m.task_retries, 1, "exactly one retry");
-        assert_eq!(m.task_failures, 0, "zero terminal failures");
+        let r = c.registry();
+        assert_eq!(r.counter_value("task.retries"), 1, "exactly one retry");
+        assert_eq!(
+            r.counter_value("task.terminal_failures"),
+            0,
+            "zero terminal failures"
+        );
         assert_eq!(c.registry().counter_value("task.attempt_failures"), 1);
         assert_eq!(c.registry().counter_value("stage.launched"), 1);
         assert_eq!(c.registry().counter_value("stage.failed"), 0);
@@ -1117,18 +1079,16 @@ mod tests {
             })
             .expect("stage must survive a mid-stage worker kill");
         assert_eq!(out, (0..9).map(|p| p + 100).collect::<Vec<_>>());
-        let m = c.metrics().snapshot();
-        assert!(
-            m.task_retries > 0,
-            "kill must have forced at least one retry"
-        );
+        let retries = c.registry().counter_value("task.retries");
+        assert!(retries > 0, "kill must have forced at least one retry");
         assert_eq!(
-            m.task_failures, 0,
+            c.registry().counter_value("task.terminal_failures"),
+            0,
             "every attempt recovered, so no terminal failures"
         );
         assert_eq!(
             c.registry().counter_value("task.attempt_failures"),
-            m.task_retries,
+            retries,
             "each retry corresponds to exactly one failed attempt"
         );
         assert!(c.registry().counter_value("task.failure_cause.worker_lost") > 0);
@@ -1165,11 +1125,18 @@ mod tests {
         assert_eq!(attempts, 3);
         assert!(!workers_tried.is_empty());
         assert!(matches!(last_error, FailureReason::Panicked(ref m) if m.contains("always fails")));
-        let m = c.metrics().snapshot();
-        assert_eq!(m.task_failures, 1, "one task exhausted its attempts");
-        assert_eq!(m.task_retries, 2, "retries exclude the first attempt");
-        assert_eq!(c.registry().counter_value("task.attempt_failures"), 3);
-        assert_eq!(c.registry().counter_value("task.terminal_failures"), 1);
+        let r = c.registry();
+        assert_eq!(
+            r.counter_value("task.terminal_failures"),
+            1,
+            "one task exhausted its attempts"
+        );
+        assert_eq!(
+            r.counter_value("task.retries"),
+            2,
+            "retries exclude the first attempt"
+        );
+        assert_eq!(r.counter_value("task.attempt_failures"), 3);
         assert_eq!(c.registry().counter_value("stage.failed"), 1);
     }
 
@@ -1312,9 +1279,10 @@ mod tests {
     #[test]
     fn run_stage_records_spans_and_task_histograms() {
         let c = cluster();
-        c.run_partitions(6, |_| {
+        c.run_stage_partitions(6, |_| {
             std::thread::sleep(std::time::Duration::from_micros(50))
-        });
+        })
+        .unwrap();
         let spans = c.trace().spans();
         let stage_spans: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Stage).collect();
         let task_spans: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Task).collect();
@@ -1333,7 +1301,8 @@ mod tests {
             .unwrap();
         assert_eq!(wait.count, 6);
         let json = c.metrics_json();
-        assert!(json.contains("\"schema\":\"sparklet-metrics-v1\""));
+        assert!(json.contains("\"schema\":\"sparklet-metrics-v2\""));
+        assert!(!json.contains("\"legacy\""));
         assert!(json.contains("\"task.run_ns\""));
         let report = c.trace_report();
         assert!(report.contains("\"schema\":\"sparklet-trace-v1\""));

@@ -17,9 +17,9 @@
 //!   that keep appends consistent when stale copies exist (§III-D);
 //! * failure injection ([`Cluster::kill_worker`]) for the Fig. 12
 //!   fault-tolerance experiment;
-//! * phase [`metrics::Metrics`] (shuffle/build/probe) replacing the paper's
-//!   flame graphs (Fig. 1), plus a named-metric [`metrics::Registry`]
-//!   (counters / gauges / log₂ histograms, per-worker sharded) and a
+//! * one named-metric [`metrics::Registry`] (counters / gauges / log₂
+//!   histograms, per-worker sharded) whose `phase.*` and `shuffle.ns`
+//!   wall-time counters replace the paper's flame graphs (Fig. 1), plus a
 //!   [`metrics::Trace`] of operator → stage → task spans, serialized by
 //!   [`Cluster::metrics_json`] and [`Cluster::trace_report`].
 //!
@@ -29,7 +29,7 @@
 //! use sparklet::{Cluster, ClusterConfig};
 //!
 //! let cluster = Cluster::new(ClusterConfig::test_small());
-//! let doubled = cluster.run_partitions(8, |ctx| ctx.partition * 2);
+//! let doubled = cluster.run_stage_partitions(8, |ctx| ctx.partition * 2).unwrap();
 //! assert_eq!(doubled[3], 6);
 //! ```
 
@@ -47,8 +47,8 @@ pub use cluster::{
 pub use config::ClusterConfig;
 pub use memory::{BlockCharge, MemoryGovernor, SpillFn};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, Registry,
-    RegistrySnapshot, SpanKind, SpanRecord, Trace,
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot, SpanKind, SpanRecord,
+    Trace,
 };
 pub use scheduler::{
     Admission, AdmissionGuard, AdmissionTicket, AdmitError, QueryId, QueryRef, Scheduler,

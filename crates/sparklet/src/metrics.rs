@@ -3,141 +3,24 @@
 //! The paper's Fig. 1 contrasts where vanilla Spark and the Indexed
 //! DataFrame spend time across repeated joins (hash-table building and
 //! shuffles vs. local probes). Without a JVM profiler we reproduce the
-//! breakdown with explicit phase counters that every operator feeds.
+//! breakdown with wall-time phase counters (`phase.build_ns`,
+//! `phase.probe_ns`, `phase.recompute_ns`, `shuffle.ns`) that the operators
+//! feed.
 //!
-//! Two generations coexist here:
-//!
-//! * [`Metrics`] — the original fixed struct of phase counters, kept for
-//!   cheap whole-cluster snapshots and deltas (`delta_since`).
-//! * [`Registry`] — named counters, gauges and log₂-bucket histograms,
-//!   sharded per worker (plus one driver shard) so hot-path increments
-//!   never contend across workers, merged on read. [`Trace`] records
-//!   `operator → stage → task` spans into a bounded buffer that dumps as
-//!   JSON. `Cluster::metrics_json()` / `Cluster::trace_report()` serialize
-//!   both; the schema is documented in DESIGN.md.
+//! Everything the engine counts lives in one [`Registry`]: named counters,
+//! gauges and log₂-bucket histograms, sharded per worker (plus one driver
+//! shard) so hot-path increments never contend across workers, merged on
+//! read. Per-query deltas come from two [`Registry::merged`] snapshots and
+//! [`RegistrySnapshot::since`]. [`Trace`] records `operator → stage → task`
+//! spans into a bounded buffer that dumps as JSON.
+//! `Cluster::metrics_json()` / `Cluster::trace_report()` serialize both;
+//! the schema is documented in DESIGN.md.
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Thread-safe phase and volume counters for one cluster.
-#[derive(Default)]
-pub struct Metrics {
-    /// Nanoseconds spent moving data between partitions (the "network").
-    pub shuffle_ns: AtomicU64,
-    /// Bytes that crossed partition boundaries in shuffles.
-    pub shuffle_bytes: AtomicU64,
-    /// Rows that crossed partition boundaries in shuffles.
-    pub shuffle_rows: AtomicU64,
-    /// Nanoseconds spent building join hash tables / indexes.
-    pub build_ns: AtomicU64,
-    /// Nanoseconds spent probing (the actual join/lookup work).
-    pub probe_ns: AtomicU64,
-    /// Bytes replicated to workers by broadcasts.
-    pub broadcast_bytes: AtomicU64,
-    /// Nanoseconds spent recomputing lost partitions from lineage.
-    pub recompute_ns: AtomicU64,
-    /// Tasks that ran on a worker other than their preferred one.
-    pub non_local_tasks: AtomicU64,
-    /// Total tasks executed.
-    pub tasks: AtomicU64,
-    /// Task attempts that were rescheduled after a failure (Fig. 12's
-    /// recovery path: each retry re-runs the task on a surviving worker).
-    pub task_retries: AtomicU64,
-    /// Tasks that failed *terminally* — every attempt up to
-    /// `max_task_attempts` was consumed and the stage errored. A task that
-    /// fails once and succeeds on retry contributes to `task_retries` (and
-    /// the registry's `task.attempt_failures`) but not here.
-    pub task_failures: AtomicU64,
-    /// Stages launched.
-    pub stages: AtomicU64,
-}
-
-impl Metrics {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn reset(&self) {
-        self.shuffle_ns.store(0, Relaxed);
-        self.shuffle_bytes.store(0, Relaxed);
-        self.shuffle_rows.store(0, Relaxed);
-        self.build_ns.store(0, Relaxed);
-        self.probe_ns.store(0, Relaxed);
-        self.broadcast_bytes.store(0, Relaxed);
-        self.recompute_ns.store(0, Relaxed);
-        self.non_local_tasks.store(0, Relaxed);
-        self.tasks.store(0, Relaxed);
-        self.task_retries.store(0, Relaxed);
-        self.task_failures.store(0, Relaxed);
-        self.stages.store(0, Relaxed);
-    }
-
-    /// Immutable copy of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            shuffle_ns: self.shuffle_ns.load(Relaxed),
-            shuffle_bytes: self.shuffle_bytes.load(Relaxed),
-            shuffle_rows: self.shuffle_rows.load(Relaxed),
-            build_ns: self.build_ns.load(Relaxed),
-            probe_ns: self.probe_ns.load(Relaxed),
-            broadcast_bytes: self.broadcast_bytes.load(Relaxed),
-            recompute_ns: self.recompute_ns.load(Relaxed),
-            non_local_tasks: self.non_local_tasks.load(Relaxed),
-            tasks: self.tasks.load(Relaxed),
-            task_retries: self.task_retries.load(Relaxed),
-            task_failures: self.task_failures.load(Relaxed),
-            stages: self.stages.load(Relaxed),
-        }
-    }
-
-    /// Time `f` and add the elapsed nanoseconds to `counter`.
-    pub fn timed<R>(counter: &AtomicU64, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        counter.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-        r
-    }
-}
-
-/// Plain-value copy of [`Metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    pub shuffle_ns: u64,
-    pub shuffle_bytes: u64,
-    pub shuffle_rows: u64,
-    pub build_ns: u64,
-    pub probe_ns: u64,
-    pub broadcast_bytes: u64,
-    pub recompute_ns: u64,
-    pub non_local_tasks: u64,
-    pub tasks: u64,
-    pub task_retries: u64,
-    pub task_failures: u64,
-    pub stages: u64,
-}
-
-impl MetricsSnapshot {
-    /// Difference since an earlier snapshot (per-query deltas for Fig. 1).
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            shuffle_ns: self.shuffle_ns - earlier.shuffle_ns,
-            shuffle_bytes: self.shuffle_bytes - earlier.shuffle_bytes,
-            shuffle_rows: self.shuffle_rows - earlier.shuffle_rows,
-            build_ns: self.build_ns - earlier.build_ns,
-            probe_ns: self.probe_ns - earlier.probe_ns,
-            broadcast_bytes: self.broadcast_bytes - earlier.broadcast_bytes,
-            recompute_ns: self.recompute_ns - earlier.recompute_ns,
-            non_local_tasks: self.non_local_tasks - earlier.non_local_tasks,
-            tasks: self.tasks - earlier.tasks,
-            task_retries: self.task_retries - earlier.task_retries,
-            task_failures: self.task_failures - earlier.task_failures,
-            stages: self.stages - earlier.stages,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Named-metric registry: counters, gauges, log₂ histograms
@@ -159,6 +42,14 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
+    }
+
+    /// Time `f` and add the elapsed nanoseconds.
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let r = f();
+        self.add(start.elapsed().as_nanos() as u64);
+        r
     }
 }
 
@@ -506,6 +397,22 @@ pub struct RegistrySnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
+impl RegistrySnapshot {
+    /// Per-counter growth since an `earlier` snapshot of the same registry
+    /// (per-query deltas for Fig. 1 and `DataFrame::analyze`). Saturating:
+    /// a [`Registry::reset`] between the two reads yields 0, not a panic
+    /// or a wrapped ~2⁶⁴.
+    pub fn since(&self, earlier: &RegistrySnapshot) -> BTreeMap<String, u64> {
+        self.counters
+            .iter()
+            .map(|(name, &v)| {
+                let before = earlier.counters.get(name).copied().unwrap_or(0);
+                (name.clone(), v.saturating_sub(before))
+            })
+            .collect()
+    }
+}
+
 // ---------------------------------------------------------------------
 // Span trace: operator → stage → task
 // ---------------------------------------------------------------------
@@ -703,30 +610,6 @@ impl RegistrySnapshot {
     }
 }
 
-impl MetricsSnapshot {
-    /// Legacy phase counters as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shuffle_ns\":{},\"shuffle_bytes\":{},\"shuffle_rows\":{},\
-             \"build_ns\":{},\"probe_ns\":{},\"broadcast_bytes\":{},\
-             \"recompute_ns\":{},\"non_local_tasks\":{},\"tasks\":{},\
-             \"task_retries\":{},\"task_failures\":{},\"stages\":{}}}",
-            self.shuffle_ns,
-            self.shuffle_bytes,
-            self.shuffle_rows,
-            self.build_ns,
-            self.probe_ns,
-            self.broadcast_bytes,
-            self.recompute_ns,
-            self.non_local_tasks,
-            self.tasks,
-            self.task_retries,
-            self.task_failures,
-            self.stages
-        )
-    }
-}
-
 impl SpanRecord {
     pub fn to_json(&self) -> String {
         format!(
@@ -747,35 +630,6 @@ impl SpanRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timed_accumulates() {
-        let m = Metrics::new();
-        let out = Metrics::timed(&m.build_ns, || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            42
-        });
-        assert_eq!(out, 42);
-        assert!(m.snapshot().build_ns >= 1_000_000);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let m = Metrics::new();
-        m.shuffle_bytes.fetch_add(100, Relaxed);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn delta_since() {
-        let m = Metrics::new();
-        m.shuffle_rows.fetch_add(10, Relaxed);
-        let s1 = m.snapshot();
-        m.shuffle_rows.fetch_add(5, Relaxed);
-        let d = m.snapshot().delta_since(&s1);
-        assert_eq!(d.shuffle_rows, 5);
-    }
 
     #[test]
     fn histogram_buckets_are_log2() {
@@ -901,6 +755,39 @@ mod tests {
     }
 
     #[test]
+    fn counter_time_accumulates() {
+        let c = Counter::default();
+        let out = c.time(|| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            42
+        });
+        assert_eq!(out, 42);
+        assert!(c.get() >= 1_000_000);
+    }
+
+    /// `since` is the per-counter growth; a counter registered between the
+    /// two reads counts from 0. Regression: a reset between the reads used
+    /// to underflow the raw `u64` subtraction (a debug panic, a ~2⁶⁴ delta
+    /// in release); it now saturates at 0.
+    #[test]
+    fn since_saturates_across_reset() {
+        let r = Registry::new(1);
+        r.counter_on(Some(0), "rows").add(10);
+        r.counter("ns").add(1_000);
+        let before = r.merged();
+        r.counter("rows").add(5);
+        r.counter("fresh").add(3);
+        let d = r.merged().since(&before);
+        assert_eq!((d["rows"], d["ns"], d["fresh"]), (5, 0, 3));
+
+        let before = r.merged();
+        r.reset();
+        r.counter("rows").add(4);
+        let d = r.merged().since(&before);
+        assert_eq!((d["rows"], d["ns"], d["fresh"]), (0, 0, 0));
+    }
+
+    #[test]
     fn registry_out_of_range_worker_lands_on_driver_shard() {
         let r = Registry::new(2);
         r.counter_on(Some(99), "c").add(1);
@@ -957,7 +844,5 @@ mod tests {
         let frag = r.merged().to_json_fields();
         assert!(frag.starts_with("\"counters\":{"));
         assert!(frag.contains("\"a.b\":2"));
-        let legacy = Metrics::new().snapshot().to_json();
-        assert!(legacy.contains("\"stages\":0"));
     }
 }

@@ -100,7 +100,8 @@ impl QueryRef {
 }
 
 // ----------------------------------------------------------------------
-// Ambient query (thread-local attribution for legacy call sites)
+// Ambient query (thread-local attribution for `Cluster::run_stage` calls
+// that carry no explicit query, e.g. operators deep in a plan)
 // ----------------------------------------------------------------------
 
 thread_local! {

@@ -29,7 +29,6 @@
 use crate::cluster::{Cluster, StageError, TaskSpec};
 use crate::metrics::{SpanKind, SpanRecord};
 use rowstore::{BlockReader, BlockWriter, Row, Schema, Value};
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,13 +71,9 @@ fn record_exchange(
     let num_out = per_partition_bytes.len() as u64;
     let rows: u64 = per_partition_rows.iter().sum();
     let bytes: u64 = per_partition_bytes.iter().sum();
-    let m = cluster.metrics();
-    m.shuffle_ns
-        .fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-    m.shuffle_rows.fetch_add(rows, Relaxed);
-    m.shuffle_bytes.fetch_add(bytes, Relaxed);
-
     let reg = cluster.registry();
+    reg.counter("shuffle.ns")
+        .add(start.elapsed().as_nanos() as u64);
     reg.counter("shuffle.exchanges").inc();
     reg.counter("shuffle.rows").add(rows);
     reg.counter("shuffle.bytes").add(bytes);
@@ -488,10 +483,6 @@ fn record_reduce_plan_decisions(cluster: &Cluster, plan: &[ReduceTask], rows: &[
 /// reconciles so `broadcast.live_{copies,bytes}` drop when the copies die
 /// with their worker instead of drifting upward forever.
 pub fn account_broadcast(cluster: &Cluster, unique_bytes: u64, copies: u64) {
-    cluster
-        .metrics()
-        .broadcast_bytes
-        .fetch_add(unique_bytes * copies, Relaxed);
     let reg = cluster.registry();
     reg.counter("broadcast.bytes").add(unique_bytes * copies);
     reg.counter("broadcast.unique_bytes").add(unique_bytes);
@@ -579,17 +570,15 @@ mod tests {
             let count = out[p].iter().filter(|r| r[0] == Value::Int64(k)).count();
             assert_eq!(count, 2, "key {k} not co-located");
         }
-        let m = c.metrics().snapshot();
-        assert_eq!(m.shuffle_rows, 200);
-        assert!(m.shuffle_bytes >= 200);
-        assert!(m.shuffle_ns > 0);
         let r = c.registry();
+        let bytes = r.counter_value("shuffle.bytes");
+        assert!(bytes >= 200);
+        assert!(r.counter_value("shuffle.ns") > 0);
         assert_eq!(r.counter_value("shuffle.exchanges"), 1);
         assert_eq!(r.counter_value("shuffle.rows"), 200);
-        assert_eq!(r.counter_value("shuffle.bytes"), m.shuffle_bytes);
         let h = r.histogram_snapshot("shuffle.partition_bytes").unwrap();
         assert_eq!(h.count, num_out as u64, "one sample per output partition");
-        assert_eq!(h.sum, m.shuffle_bytes);
+        assert_eq!(h.sum, bytes);
     }
 
     #[test]
@@ -675,13 +664,13 @@ mod tests {
         expected.sort_by_key(fmt);
         assert_eq!(delivered, expected);
 
-        let m = c.metrics().snapshot();
-        assert_eq!(m.shuffle_rows, 300);
+        let r = c.registry();
+        assert_eq!(r.counter_value("shuffle.rows"), 300);
         // Exact wire accounting: 12 blocks (3 maps × 4 reducers), each with
         // a 4-byte header, plus a 4-byte length prefix per row.
-        assert_eq!(c.registry().counter_value("shuffle.blocks"), 12);
+        assert_eq!(r.counter_value("shuffle.blocks"), 12);
         assert!(
-            m.shuffle_bytes > 300 * 4,
+            r.counter_value("shuffle.bytes") > 300 * 4,
             "length prefixes alone exceed this"
         );
     }
@@ -712,10 +701,9 @@ mod tests {
         c.kill_worker(1);
         account_broadcast(&c, 4, c.alive_workers().len() as u64);
         // Copies-vs-bytes distinction: wire traffic per worker, memory once.
-        assert_eq!(c.metrics().snapshot().broadcast_bytes, 8); // 4 bytes × 2 workers
         let r = c.registry();
         assert_eq!(r.counter_value("broadcast.copies"), 2);
-        assert_eq!(r.counter_value("broadcast.bytes"), 8);
+        assert_eq!(r.counter_value("broadcast.bytes"), 8); // 4 bytes × 2 workers
         assert_eq!(r.counter_value("broadcast.unique_bytes"), 4);
         assert_eq!(
             c.memory().broadcast_live(),

@@ -220,7 +220,9 @@ proptest! {
             .map(|(i, p)| TaskSpec { partition: i, preferred_worker: *p })
             .collect();
         let dead2 = Arc::new(dead.clone());
-        let placements = cluster.run_tasks(&tasks, move |tc| (tc.worker, tc.non_local));
+        let placements = cluster
+            .run_stage(&tasks, move |tc| (tc.worker, tc.non_local))
+            .unwrap();
         for (spec, (worker, non_local)) in tasks.iter().zip(&placements) {
             prop_assert!(!dead2.contains(worker), "task ran on dead worker {worker}");
             if let Some(p) = spec.preferred_worker {
@@ -250,9 +252,12 @@ fn exchange_metrics_account_rows_and_bytes() {
         .collect();
     let out = exchange_rows(&cluster, &schema, inputs, 8).unwrap();
     assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 1000);
-    let m = cluster.metrics().snapshot();
-    assert_eq!(m.shuffle_rows, 1000);
+    let r = cluster.registry();
+    assert_eq!(r.counter_value("shuffle.rows"), 1000);
     // Each row is a 4-byte length prefix plus a 1-byte null bitmap and two
     // 8-byte values; each of the 4 × 8 blocks adds a 4-byte row-count header.
-    assert_eq!(m.shuffle_bytes, 1000 * (4 + 1 + 16) + 32 * 4);
+    assert_eq!(
+        r.counter_value("shuffle.bytes"),
+        1000 * (4 + 1 + 16) + 32 * 4
+    );
 }

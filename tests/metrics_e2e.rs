@@ -120,9 +120,12 @@ fn four_worker_run_populates_every_metric_layer() {
 
     // The JSON document carries all of it.
     let json = cluster.metrics_json();
-    assert!(json.starts_with("{\"schema\":\"sparklet-metrics-v1\""));
+    assert!(json.starts_with("{\"schema\":\"sparklet-metrics-v2\""));
     for needle in [
         "\"shuffle.bytes\"",
+        "\"shuffle.ns\"",
+        "\"phase.probe_ns\"",
+        "\"phase.recompute_ns\"",
         "\"op.scan.ns\"",
         "\"op.join.adaptive.ns\"",
         "\"op.agg.ns\"",
@@ -133,11 +136,14 @@ fn four_worker_run_populates_every_metric_layer() {
         "\"index.upserts\"",
         "\"index.build_ns\"",
         "\"operator.vectorized\"",
-        "\"legacy\"",
         "\"trace\"",
     ] {
         assert!(json.contains(needle), "metrics_json missing {needle}");
     }
+    assert!(
+        !json.contains("\"legacy\""),
+        "v2 has no legacy phase-counter object"
+    );
 
     // The span trace nests operator → stage → task.
     let spans = cluster.trace().spans();
